@@ -160,7 +160,7 @@ def oracle_estimate_beta(
     sizes = np.array([rec.size for rec in truth])
     order = np.argsort(times, kind="stable")
     times, sizes = times[order], sizes[order]
-    idx = np.array([interval_index(t, grid) for t in times])
+    idx = interval_index(times, grid)
     occupied = set(idx.tolist())
 
     num = 0.0

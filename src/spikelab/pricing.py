@@ -33,7 +33,11 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import GridSpec, JumpLaw, SampledPath, SpikeParams, law_exp_moment
-from .simulate import make_rng, simulate_spikes, _two_factor_states
+from .simulate import make_rng, simulate_spikes_batch, _two_factor_states
+
+# not called here since spike paths are built in batches; benchmarks/spans.py
+# still looks the name up in this module when it wraps the layers
+from .simulate import simulate_spikes  # noqa: F401
 
 __all__ = [
     "TwoFactorParams",
@@ -46,6 +50,8 @@ __all__ = [
     "forward_spike_delivery",
     "forward_spike_log",
     "two_factor_forward",
+    "strip_payoffs",
+    "price_from_payoffs",
     "price_strip_mc",
 ]
 
@@ -149,6 +155,17 @@ class TwoFactorDynamics:
         return path
 
 
+def _check_strip(exercise_times, num_sims: int) -> np.ndarray:
+    times = np.asarray(exercise_times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("exercise times must be a nonempty increasing sequence")
+    if times[0] <= 0:
+        raise ValueError("exercise times must be positive")
+    if num_sims < 2:
+        raise ValueError("need at least 2 simulations")
+    return times
+
+
 @dataclass(frozen=True)
 class StripOptionSpec:
     """Strip of calls: payoff sum over exercise times of (S_t - K)^+."""
@@ -159,14 +176,8 @@ class StripOptionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        times = np.asarray(self.exercise_times, dtype=float)
+        times = _check_strip(self.exercise_times, self.num_sims)
         object.__setattr__(self, "exercise_times", times)
-        if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-            raise ValueError("exercise times must be a nonempty increasing sequence")
-        if times[0] <= 0:
-            raise ValueError("exercise times must be positive")
-        if self.num_sims < 2:
-            raise ValueError("need at least 2 simulations")
 
 
 @dataclass(frozen=True)
@@ -324,7 +335,91 @@ def _exercise_columns(grid: GridSpec, times: np.ndarray) -> np.ndarray:
     return rounded
 
 
-_BATCH = 512  # fixed batch partition keeps results independent of worker count
+# Paths per batch.  Each batch draws from its own child stream of the
+# master, so this constant fixes how the master stream is partitioned (and
+# with it every seeded price) as well as the memory one batch needs.
+_BATCH = 512
+
+
+def strip_payoffs(
+    two_factor: TwoFactorParams,
+    curve: ForwardCurve,
+    spikes: Optional[SpikeParams],
+    grid: GridSpec,
+    exercise_times,
+    strikes: Sequence[float],
+    num_sims: int,
+    rng: np.random.Generator,
+    antithetic: bool = False,
+) -> np.ndarray:
+    """Strip payoffs of every strike on one simulated ensemble, shape (units, strikes).
+
+    Spot at an exercise date: S_t = f(0,t) exp(-v(t)/2 + sigma_l W_t +
+    sigma_s Y_t) + Z_t, the spike process simulated with unchanged intensity
+    and law (the Merton change of measure only re-centres the Brownian
+    drivers).  Units are i.i.d.: single paths, or with ``antithetic`` the
+    averages of path pairs whose Gaussian factors are mirrored (spikes are
+    left alone).  Paths are simulated in batches of 512, each from its own
+    child stream of ``rng``; column k equals what strike k alone gives on the
+    same stream.
+    """
+    cols = _exercise_columns(grid, _check_strip(exercise_times, num_sims))
+    if antithetic and num_sims % 2:
+        raise ValueError("antithetic pricing needs an even number of simulations")
+    units = []
+    remaining = num_sims
+    while remaining > 0:
+        batch = min(_BATCH, remaining)
+        if antithetic:
+            batch -= batch % 2
+        spot = _batch_spot(two_factor, curve, spikes, grid, rng.spawn(1)[0], batch, antithetic)
+        pay = _strike_payoffs(spot[:, cols], strikes)
+        del spot  # free this batch before the next one is simulated
+        if antithetic:
+            pay = 0.5 * (pay[: batch // 2] + pay[batch // 2 :])
+        units.append(pay)
+        remaining -= batch
+    return np.concatenate(units)
+
+
+def _batch_spot(two_factor, curve, spikes, grid, rng, paths, antithetic) -> np.ndarray:
+    """Spot on the grid for one batch of paths, shape (paths, n + 1)."""
+    t = grid.times()
+    if antithetic:
+        wl, ys = _two_factor_states(two_factor, grid, rng, paths // 2)
+        wl = np.concatenate([wl, -wl], axis=0)
+        ys = np.concatenate([ys, -ys], axis=0)
+    else:
+        wl, ys = _two_factor_states(two_factor, grid, rng, paths)
+    spot = curve(t) * np.exp(
+        -0.5 * two_factor.log_variance(t) + two_factor.sigma_l * wl + two_factor.sigma_s * ys
+    )
+    del wl, ys  # free the factors before the spike paths are built
+    if spikes is not None:
+        spot += simulate_spikes_batch(spikes, grid, rng, paths)
+    return spot
+
+
+def _strike_payoffs(at_exercise: np.ndarray, strikes: Sequence[float]) -> np.ndarray:
+    """Strip payoffs sum_t (S_t - K)^+ per path and strike, shape (paths, strikes)."""
+    pay = np.empty((at_exercise.shape[0], len(strikes)))
+    for k, strike in enumerate(strikes):
+        excess = at_exercise - strike
+        pay[:, k] = np.maximum(excess, 0.0, out=excess).sum(axis=1)
+    return pay
+
+
+def price_from_payoffs(units: np.ndarray, num_sims: int) -> PriceWithCI:
+    """Monte Carlo estimate and 95% CI from one strike's i.i.d. payoff units."""
+    estimate = float(units.mean())
+    stderr = float(units.std(ddof=1) / math.sqrt(units.size))
+    ci_half = 1.96 * stderr
+    return PriceWithCI(
+        estimate=estimate,
+        ci95=(estimate - ci_half, estimate + ci_half),
+        num_sims=num_sims,
+        stderr=stderr,
+    )
 
 
 def price_strip_mc(
@@ -338,55 +433,20 @@ def price_strip_mc(
 ) -> PriceWithCI:
     """Monte Carlo price of the strip of calls under the Merton measure.
 
-    Spot at an exercise date: S_t = f(0,t) exp(-v(t)/2 + sigma_l W_t +
-    sigma_s Y_t) + Z_t, the spike process simulated with unchanged intensity
-    and law (the Merton change of measure only re-centres the Brownian
-    drivers).  The risk-free rate is zero.  With ``antithetic`` the Gaussian
-    factors are mirrored pairwise (spikes are left alone) and the CI is
-    computed over pair averages.
+    The risk-free rate is zero; see ``strip_payoffs`` for the simulated spot
+    and the antithetic pairing (with ``antithetic`` the CI is computed over
+    pair averages).  Without ``rng`` the paths come from ``spec.seed``.
     """
-    cols = _exercise_columns(grid, spec.exercise_times)
-    strike = spec.strike
-    if antithetic and spec.num_sims % 2:
-        raise ValueError("antithetic pricing needs an even number of simulations")
     master = make_rng(spec.seed) if rng is None else rng
-    t = grid.times()
-    base_log = -0.5 * two_factor.log_variance(t)
-
-    units = []  # i.i.d. payoff units: single paths, or pair averages if antithetic
-    remaining = spec.num_sims
-    while remaining > 0:
-        batch = min(_BATCH, remaining)
-        if antithetic:
-            batch -= batch % 2
-            half = batch // 2
-        child = master.spawn(1)[0]
-        if antithetic:
-            wl, ys = _two_factor_states(two_factor, grid, child, half)
-            wl = np.concatenate([wl, -wl], axis=0)
-            ys = np.concatenate([ys, -ys], axis=0)
-        else:
-            wl, ys = _two_factor_states(two_factor, grid, child, batch)
-        spot = curve(t) * np.exp(
-            base_log + two_factor.sigma_l * wl + two_factor.sigma_s * ys
-        )
-        if spikes is not None:
-            for p in range(batch):
-                spike_path, _ = simulate_spikes(spikes, grid, child)
-                spot[p] += spike_path.values
-        pay = np.maximum(spot[:, cols] - strike, 0.0).sum(axis=1)
-        if antithetic:
-            pay = 0.5 * (pay[:half] + pay[half:])
-        units.append(pay)
-        remaining -= batch
-    units = np.concatenate(units)
-
-    estimate = float(units.mean())
-    stderr = float(units.std(ddof=1) / math.sqrt(units.size))
-    ci_half = 1.96 * stderr
-    return PriceWithCI(
-        estimate=estimate,
-        ci95=(estimate - ci_half, estimate + ci_half),
-        num_sims=spec.num_sims,
-        stderr=stderr,
+    units = strip_payoffs(
+        two_factor,
+        curve,
+        spikes,
+        grid,
+        spec.exercise_times,
+        (spec.strike,),
+        spec.num_sims,
+        master,
+        antithetic,
     )
+    return price_from_payoffs(units[:, 0], spec.num_sims)

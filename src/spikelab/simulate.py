@@ -30,6 +30,8 @@ __all__ = [
     "interval_index",
     "spike_values_from_jumps",
     "simulate_spikes",
+    "spike_values_batch",
+    "simulate_spikes_batch",
     "simulate_exp_ou",
     "simulate_spot",
     "simulate_two_factor",
@@ -66,20 +68,24 @@ class SimulatedPath:
     truth: Tuple[JumpRecord, ...]
 
 
-def interval_index(time: float, grid: GridSpec) -> int:
+def interval_index(time, grid: GridSpec):
     """Index i in 1..n with t_{i-1} < time <= t_i on the grid.
 
-    Robust against floating roundoff in time / mesh near grid points.
+    Elementwise for an array of times (returns an integer array); a scalar
+    time gives an int.  Robust against floating roundoff in time / mesh near
+    grid points.
     """
-    mesh = grid.mesh
-    i = int(np.floor(time / mesh)) + 1
-    i = min(max(i, 1), grid.n)
+    mesh, n = grid.mesh, grid.n
+    time = np.asarray(time, dtype=float)
+    if not np.all(np.isfinite(time)):
+        raise ValueError("jump times must be finite")
+    i = np.minimum(np.maximum(np.floor(time / mesh).astype(np.int64) + 1, 1), n)
     # settle boundary roundoff by direct comparison with the grid times
-    while i > 1 and (i - 1) * mesh >= time:
-        i -= 1
-    while i < grid.n and i * mesh < time:
-        i += 1
-    return i
+    while np.any(low := (i > 1) & ((i - 1) * mesh >= time)):
+        i = i - low
+    while np.any(high := (i < n) & (i * mesh < time)):
+        i = i + high
+    return int(i) if i.ndim == 0 else i
 
 
 def spike_values_from_jumps(
@@ -101,7 +107,7 @@ def spike_values_from_jumps(
     sizes = np.array([rec.size for rec in truth])
     if np.any(np.diff(times) < 0):
         raise ValueError("jump records must be sorted by time")
-    idx = np.array([interval_index(t, grid) for t in times])
+    idx = interval_index(times, grid)
 
     cur = 0.0
     pos = 0
@@ -128,14 +134,13 @@ def spike_values_from_jumps(
     return z
 
 
-def simulate_spikes(
+def _draw_jumps(
     params: SpikeParams, grid: GridSpec, rng: np.random.Generator
-) -> Tuple[SampledPath, Tuple[JumpRecord, ...]]:
-    """Simulate the spike process on the grid together with its exact jumps.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One path's jumps (sorted arrival times, sizes).
 
-    The jump count is Poisson(intensity * horizon), arrival times are uniform
-    order statistics on (0, horizon] and sizes are i.i.d. from the law.  Grid
-    values are computed without discretization error.
+    The single place that fixes the order in which a path's jumps are drawn
+    from the stream, shared by the single-path and the batch simulators.
     """
     horizon = grid.horizon
     count = int(rng.poisson(params.intensity * horizon))
@@ -146,9 +151,58 @@ def simulate_spikes(
     on_grid = (times % grid.mesh) == 0.0
     times[on_grid] = np.nextafter(times[on_grid], 0.0)
     sizes = params.law.sample(rng, count) if count else np.empty(0)
+    return times, sizes
+
+
+def simulate_spikes(
+    params: SpikeParams, grid: GridSpec, rng: np.random.Generator
+) -> Tuple[SampledPath, Tuple[JumpRecord, ...]]:
+    """Simulate the spike process on the grid together with its exact jumps.
+
+    The jump count is Poisson(intensity * horizon), arrival times are uniform
+    order statistics on (0, horizon] and sizes are i.i.d. from the law.  Grid
+    values are computed without discretization error.
+    """
+    times, sizes = _draw_jumps(params, grid, rng)
     truth = tuple(JumpRecord(float(t), float(x)) for t, x in zip(times, sizes))
     values = spike_values_from_jumps(truth, grid, params.reversion)
     return SampledPath(grid, values), truth
+
+
+def spike_values_batch(
+    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float
+) -> np.ndarray:
+    """Spike-process values of several paths at once, shape (len(jumps), n + 1).
+
+    Row p is built from jumps[p] = (sorted arrival times, sizes).  Every jump
+    is placed in its interval at once and the per-step decay runs as one
+    first-order filter along the rows, Z_{t_i} = (new jumps decayed to t_i) +
+    d * Z_{t_{i-1}}.  Rows equal ``spike_values_from_jumps`` bit for bit
+    except where two jumps share an interval: there the decayed state and the
+    new jumps are added in another order, which moves the row by a few ulps.
+    """
+    times = np.concatenate([t for t, _ in jumps])
+    sizes = np.concatenate([x for _, x in jumps])
+    rows = np.repeat(np.arange(len(jumps)), [t.size for t, _ in jumps])
+    idx = interval_index(times, grid)
+    mesh = grid.mesh
+    kicks = np.zeros((len(jumps), grid.n + 1))
+    # unbuffered, so the jumps of one interval are added in time order
+    np.add.at(kicks, (rows, idx), sizes * np.exp(-reversion * (idx * mesh - times)))
+    return lfilter([1.0], [1.0, -np.exp(-reversion * mesh)], kicks, axis=1)
+
+
+def simulate_spikes_batch(
+    params: SpikeParams, grid: GridSpec, rng: np.random.Generator, paths: int
+) -> np.ndarray:
+    """Spike-process values of ``paths`` independent paths, shape (paths, n + 1).
+
+    Row p takes its jumps from ``rng`` exactly as the p-th of ``paths``
+    consecutive ``simulate_spikes`` calls would; see ``spike_values_batch``
+    for how the rows compare with theirs.
+    """
+    jumps = [_draw_jumps(params, grid, rng) for _ in range(paths)]
+    return spike_values_batch(jumps, grid, params.reversion)
 
 
 def simulate_exp_ou(
@@ -222,13 +276,18 @@ def _two_factor_states(params, grid, rng, paths: int):
 
     g1 = rng.standard_normal((paths, n))
     g2 = rng.standard_normal((paths, n))
-    wl = np.concatenate(
-        [np.zeros((paths, 1)), np.cumsum(np.sqrt(var1) * g1, axis=1)], axis=1
-    )
-    innov = c * g1 + d * g2
-    y = lfilter([1.0], [1.0, -a], innov, axis=1)
-    y = np.concatenate([np.zeros((paths, 1)), y], axis=1)
-    return wl, y
+    # built in place behind a zero first column, which the cumulative sum
+    # and the filter carry through unchanged: two large arrays fewer at peak
+    wl = np.zeros((paths, n + 1))
+    np.multiply(g1, np.sqrt(var1), out=wl[:, 1:])
+    np.cumsum(wl, axis=1, out=wl)
+    innov = np.zeros((paths, n + 1))
+    np.multiply(g1, c, out=innov[:, 1:])
+    del g1
+    g2 *= d
+    innov[:, 1:] += g2
+    del g2
+    return wl, lfilter([1.0], [1.0, -a], innov, axis=1)
 
 
 def simulate_two_factor(

@@ -1,6 +1,7 @@
 """Study harness: determinism, aggregation and output formats."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from spikelab.experiments import (
     study_summary,
 )
 from spikelab.model import ExpOU, GridSpec, SignedExponentialMixture, SpikeParams
-from spikelab.pricing import ForwardCurve, TwoFactorParams
+from spikelab.pricing import ForwardCurve, StripOptionSpec, TwoFactorParams, price_strip_mc
+from spikelab.simulate import child_seed, make_rng
 
 STUDY_LAW = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
 
@@ -130,6 +132,29 @@ class TestPricingStudy:
         without_prices = [row.without_spikes.estimate for row in rows]
         assert with_prices == sorted(with_prices, reverse=True)
         assert without_prices == sorted(without_prices, reverse=True)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_rows_equal_pricing_each_strike_alone(self, antithetic):
+        # one ensemble per setting is pure reuse: every price is bit for bit
+        # what price_strip_mc gives for that strike on the same stream
+        # (1100 paths make two full batches and a partial one)
+        config = replace(self.make_config((20.0, 40.0, 80.0), sims=1_100), antithetic=antithetic)
+        rows = run_pricing_study(config)
+        assert [row.strike for row in rows] == [20.0, 40.0, 80.0]
+        for row in rows:
+            spec = StripOptionSpec(config.exercise_times, row.strike, config.num_sims)
+            for key, spikes, price in ((0, None, row.without_spikes), (1, config.spikes, row.with_spikes)):
+                alone = price_strip_mc(
+                    config.two_factor,
+                    config.curve,
+                    spikes,
+                    config.grid,
+                    spec,
+                    rng=make_rng(child_seed(config.master_seed, key)),
+                    antithetic=antithetic,
+                )
+                assert price == alone
+            assert row.spike_premium == row.with_spikes.estimate - row.without_spikes.estimate
 
     def test_csv_output(self, tmp_path):
         rows = run_pricing_study(self.make_config((40.0,)))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikelab.model import ExpOU, Flat, GridSpec, ModelSpec, PointMass, SignedExponentialMixture, SpikeParams
 from spikelab.pricing import ForwardCurve, TwoFactorParams
@@ -14,8 +16,10 @@ from spikelab.simulate import (
     make_rng,
     simulate_exp_ou,
     simulate_spikes,
+    simulate_spikes_batch,
     simulate_spot,
     simulate_two_factor,
+    spike_values_batch,
     spike_values_from_jumps,
     _two_factor_states,
 )
@@ -68,6 +72,80 @@ class TestSpikes:
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - 10.0) < 4 * se
         assert abs(counts.var() - 10.0) < 4 * 10.0 * math.sqrt(2 / counts.size) + 1.0
+
+
+def shares_an_interval(times, grid):
+    idx = interval_index(np.asarray(times, dtype=float), grid)
+    return bool(np.any(np.diff(idx) == 0))
+
+
+def agrees_with_reference(row, reference, times, sizes, grid):
+    """Bit-identical unless two jumps share an interval, then a few ulps.
+
+    With a shared interval the state and the new jumps are summed in another
+    order; each sum's rounding is at most an ulp of the largest magnitude in
+    it, which |Z| and the jump sizes bound.
+    """
+    if not shares_an_interval(times, grid):
+        return np.array_equal(row, reference)
+    scale = np.abs(reference).max() + np.abs(sizes).sum()
+    return np.abs(row - reference).max() <= 4 * len(times) * np.spacing(scale)
+
+
+class TestSpikeBatch:
+    @pytest.mark.parametrize(
+        "n,params,paths",
+        [
+            (8_760, SpikeParams(35.0, 21_000.0, SignedExponentialMixture((0.4, 0.6), (1 / 30, 1 / 60), (-1, 1))), 64),
+            (500, SpikeParams(2_000.0, 300.0, STUDY_LAW), 40),  # about 4 jumps per interval
+            (200, SpikeParams(1e-9, 50.0, PointMass(1.0)), 5),  # no jumps at all
+        ],
+    )
+    def test_matches_single_path_simulation_on_the_same_stream(self, n, params, paths):
+        grid = GridSpec(n, 1.0)
+        rng_single, rng_batch = make_rng(41), make_rng(41)
+        singles = [simulate_spikes(params, grid, rng_single) for _ in range(paths)]
+        batch = simulate_spikes_batch(params, grid, rng_batch, paths)
+        # the batch consumed the stream exactly as the single-path calls did
+        assert np.array_equal(rng_batch.random(8), rng_single.random(8))
+        assert batch.shape == (paths, n + 1)
+        for row, (path, truth) in zip(batch, singles):
+            times = np.array([rec.time for rec in truth])
+            sizes = np.array([rec.size for rec in truth])
+            assert agrees_with_reference(row, path.values, times, sizes, grid)
+        if params.intensity > 100:
+            assert any(shares_an_interval([rec.time for rec in truth], grid) for _, truth in singles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_property_against_reference(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        horizon = data.draw(st.sampled_from([1.0, 0.3, 7.0]), label="horizon")
+        grid = GridSpec(n, horizon)
+        reversion = data.draw(st.floats(0.01, 2_000.0), label="reversion")
+        grid_times = grid.times()
+        on_grid = st.integers(0, n).map(lambda k: float(grid_times[k]))
+        near_grid = st.tuples(on_grid, st.sampled_from([-np.inf, np.inf])).map(
+            lambda p: min(max(float(np.nextafter(p[0], p[1])), 0.0), horizon)
+        )
+        anywhere = st.floats(0.0, horizon)
+        # a few intervals only, so jumps often share one
+        crowded = st.integers(1, n).map(lambda k: float(grid_times[k] - 0.37 * grid.mesh))
+        jump_time = st.one_of(on_grid, near_grid, anywhere, crowded)
+        size = st.floats(-50.0, 50.0).filter(lambda x: x != 0.0)
+        paths = data.draw(
+            st.lists(st.lists(st.tuples(jump_time, size), max_size=8), min_size=1, max_size=4),
+            label="paths",
+        )
+        jumps = []
+        for path in paths:
+            path = sorted(path)
+            jumps.append((np.array([t for t, _ in path]), np.array([x for _, x in path])))
+        batch = spike_values_batch(jumps, grid, reversion)
+        for row, (times, sizes) in zip(batch, jumps):
+            truth = [JumpRecord(t, x) for t, x in zip(times, sizes)]
+            reference = spike_values_from_jumps(truth, grid, reversion)
+            assert agrees_with_reference(row, reference, times, sizes, grid)
 
 
 class TestExpOU:
@@ -181,9 +259,19 @@ class TestTwoFactor:
 
 
 class TestIntervalIndex:
-    @pytest.mark.parametrize(
-        "tau,expected", [(0.05, 1), (0.1, 1), (0.1000001, 2), (0.95, 10), (1.0, 10)]
-    )
+    CASES = [(0.05, 1), (0.1, 1), (0.1000001, 2), (0.95, 10), (1.0, 10)]
+
+    @pytest.mark.parametrize("tau,expected", CASES)
     def test_boundaries(self, tau, expected):
         grid = GridSpec(10, 1.0)
         assert interval_index(tau, grid) == expected
+
+    def test_elementwise_on_arrays(self):
+        grid = GridSpec(10, 1.0)
+        taus, expected = zip(*self.CASES)
+        assert interval_index(np.array(taus), grid).tolist() == list(expected)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            interval_index(np.array([0.5, tau]), GridSpec(10, 1.0))
