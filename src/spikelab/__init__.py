@@ -10,6 +10,7 @@ from .model import (
     Empirical,
     ExpOU,
     Flat,
+    ForwardCurve,
     GridSpec,
     JumpLaw,
     ModelSpec,
@@ -17,10 +18,9 @@ from .model import (
     SampledPath,
     SignedExponentialMixture,
     SpikeParams,
+    TwoFactorDynamics,
+    TwoFactorParams,
     check_assumptions,
-    law_exp_moment,
-    law_moment,
-    sample_jump,
 )
 from .simulate import (
     JumpRecord,
@@ -53,11 +53,8 @@ from .estimate import (
     oracle_estimate_beta,
 )
 from .pricing import (
-    ForwardCurve,
     PriceWithCI,
     StripOptionSpec,
-    TwoFactorDynamics,
-    TwoFactorParams,
     forward_spike_arith,
     forward_spike_delivery,
     forward_spike_log,

@@ -36,10 +36,9 @@ from .experiments import (
     study_rows_to_csv,
     study_summary,
 )
-from .model import GridSpec, SampledPath
+from .model import GridSpec, SampledPath, TwoFactorDynamics
 from .pricing import (
     StripOptionSpec,
-    TwoFactorDynamics,
     forward_spike_arith,
     forward_spike_delivery,
     forward_spike_log,

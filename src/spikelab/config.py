@@ -27,8 +27,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .model import Empirical, ExpOU, Flat, GridSpec, JumpLaw, ModelSpec, PointMass, SignedExponentialMixture, SpikeParams
-from .pricing import ForwardCurve, TwoFactorDynamics, TwoFactorParams
+from .model import Empirical, ExpOU, Flat, ForwardCurve, GridSpec, JumpLaw, ModelSpec, PointMass
+from .model import SignedExponentialMixture, SpikeParams, TwoFactorDynamics, TwoFactorParams
 
 __all__ = [
     "ConfigError",

@@ -23,14 +23,9 @@ import numpy as np
 
 from .detect import PLAIN, SIGN_FILTERED, DetectionConfig, detect_jumps, multipower_variation
 from .estimate import estimate_beta, estimate_lambda
-from .model import GridSpec, JumpLaw, ModelSpec, SpikeParams
-from .pricing import (
-    ForwardCurve,
-    PriceWithCI,
-    TwoFactorParams,
-    price_from_payoffs,
-    strip_payoffs,
-)
+from .model import ContinuousSpec, ForwardCurve, GridSpec, JumpLaw, ModelSpec, SpikeParams
+from .model import TwoFactorParams
+from .pricing import PriceWithCI, price_from_payoffs, strip_payoffs
 
 # not called here since every strike is priced from one ensemble;
 # benchmarks/spans.py still looks the name up in this module
@@ -68,7 +63,7 @@ class StudyConfig:
     grid: GridSpec
     detection: DetectionConfig
     law: JumpLaw
-    continuous: object
+    continuous: ContinuousSpec
     master_seed: int = 0
     modes: Tuple[str, ...] = (PLAIN, SIGN_FILTERED)
 

@@ -10,17 +10,20 @@ J_q drawn i.i.d. from a law ``nu`` with no atom at zero and finite second
 moment.  All rates are per unit of normalized time (the horizon maps to 1).
 
 This module holds the jump-size laws (sampling, polynomial and exponential
-moments), the observation grid, the spike/continuous parameter bundles and
-the asymptotic-regime diagnostics.
+moments, the exponential-moment integral of the log-model forward), the
+observation grid, the spike parameters, the three continuous legs (exp-OU,
+flat, two-factor forward dynamics with their initial curve) and the
+asymptotic-regime diagnostics.  It imports no other module of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.special import expi
 
 __all__ = [
     "GridSpec",
@@ -32,12 +35,12 @@ __all__ = [
     "SpikeParams",
     "ExpOU",
     "Flat",
+    "TwoFactorParams",
+    "ForwardCurve",
+    "TwoFactorDynamics",
     "ContinuousSpec",
     "ModelSpec",
     "AssumptionReport",
-    "sample_jump",
-    "law_moment",
-    "law_exp_moment",
     "check_assumptions",
     "sign",
 ]
@@ -109,8 +112,44 @@ class JumpLaw:
     def exp_moment(self, u: float) -> float:
         raise NotImplementedError
 
+    def exp_moment_integral(self, eps: float) -> float:
+        """int_eps^1 (phi(v) - 1) / v dv for 0 <= eps <= 1, phi the exponential moment.
+
+        The exponent of the log-model forward spike factor, in closed form.
+        Raises ValueError, naming the law, when phi is not finite (or not
+        representable) on [eps, 1].
+        """
+        raise NotImplementedError
+
     def mean(self) -> float:
         return self.moment(1, "signed")
+
+
+# Ein(z) = int_0^z (e^t - 1) / t dt = sum_{k>=1} z^k / (k k!), an entire
+# function.  The series is summed for |z| <= 5, where 40 terms reach rounding
+# level (5^40 / (40 * 40!) < 1e-21); beyond, Ein(z) = Ei(z) - ln|z| - gamma.
+_EIN_K = np.arange(1, 41)
+_EIN_COEF = 1.0 / (_EIN_K * np.cumprod(_EIN_K.astype(float)))
+_EIN_SERIES_MAX = 5.0
+
+
+def _ein(x: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """Ein(x) - Ein(eps x) = int_eps^1 (exp(v x) - 1) / v dv, elementwise in x.
+
+    For |x| <= 5 the series is summed as sum_k x^k (1 - eps^k) / (k k!),
+    which keeps full relative accuracy as eps -> 1.  Beyond, two Ein values
+    are subtracted: the absolute error stays at the rounding of Ein(x), all
+    the forward factor exp(lambda / beta * integral) needs.
+    """
+    out = np.empty_like(x)
+    small = np.abs(x) <= _EIN_SERIES_MAX
+    log_eps = math.log(eps) if eps > 0.0 else -math.inf
+    out[small] = np.power.outer(x[small], _EIN_K) @ (_EIN_COEF * -np.expm1(_EIN_K * log_eps))
+    big = x[~small]
+    out[~small] = expi(big) - np.log(np.abs(big)) - np.euler_gamma
+    if eps > 0.0:
+        out[~small] -= _ein(eps * big)
+    return out
 
 
 def _never_zero(draws: np.ndarray, rng: np.random.Generator, redraw) -> np.ndarray:
@@ -196,6 +235,19 @@ class SignedExponentialMixture(JumpLaw):
             total += w * b / (b - s * u)
         return total
 
+    def exp_moment_integral(self, eps):
+        # (phi(v) - 1) / v = sum_i w_i s_i / (b_i - s_i v), so the integral is
+        # sum_i w_i ln((b_i - s_i eps) / (b_i - s_i))
+        total = 0.0
+        for i, (w, b, s) in enumerate(zip(self.weights, self.rates, self.signs)):
+            if s >= b:
+                raise ValueError(
+                    f"exponential moment diverges on [{eps}, 1]: component {i} "
+                    f"(sign {s:+d}, rate {b}) requires sign < rate"
+                )
+            total += w * math.log1p(s * (1.0 - eps) / (b - s))
+        return total
+
 
 @dataclass(frozen=True)
 class Empirical(JumpLaw):
@@ -225,10 +277,15 @@ class Empirical(JumpLaw):
         raise ValueError(f"unknown moment kind {kind!r}")
 
     def exp_moment(self, u):
-        vals = np.exp(u * self.samples)
+        with np.errstate(over="ignore"):
+            vals = np.exp(u * self.samples)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"exponential moment overflows at u={u} for empirical law")
         return float(np.mean(vals))
+
+    def exp_moment_integral(self, eps):
+        self.exp_moment(1.0)  # finite phi(1) keeps every Ein value finite
+        return float(np.mean(_ein(self.samples, eps)))
 
 
 @dataclass(frozen=True)
@@ -256,31 +313,16 @@ class PointMass(JumpLaw):
         raise ValueError(f"unknown moment kind {kind!r}")
 
     def exp_moment(self, u):
-        return float(math.exp(u * self.size))
+        try:
+            return float(math.exp(u * self.size))
+        except OverflowError:
+            raise ValueError(
+                f"exponential moment overflows at u={u} for point mass at {self.size}"
+            ) from None
 
-
-def sample_jump(law: JumpLaw, rng: np.random.Generator) -> float:
-    """Draw one jump size from the law; never exactly zero."""
-    return law.sample(rng)
-
-
-def law_moment(law: JumpLaw, m: int = 1, kind: str = "signed") -> float:
-    """Moment of the jump law: kind in {'signed', 'absolute', 'sign'}.
-
-    'signed' returns x^m integrated against the law, 'absolute' |x|^m, and
-    'sign' the sign mass (m is ignored).  Closed form for mixtures and point
-    masses, exact sample average for empirical laws.
-    """
-    return law.moment(m, kind)
-
-
-def law_exp_moment(law: JumpLaw, u: float) -> float:
-    """Exponential moment: integral of exp(u * x) against the law.
-
-    Raises ValueError naming the offending component when u falls outside
-    the convergence strip.
-    """
-    return law.exp_moment(u)
+    def exp_moment_integral(self, eps):
+        self.exp_moment(1.0)  # finite phi(1) keeps both Ein values finite
+        return float(_ein(np.array([float(self.size)]), eps)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +371,100 @@ class Flat:
     level: float = 0.0
 
 
-# The two-factor variant lives in spikelab.pricing (TwoFactorDynamics); any of
-# the three can be used as the continuous leg of a ModelSpec.
-ContinuousSpec = Union[ExpOU, Flat, "object"]
+@dataclass(frozen=True)
+class TwoFactorParams:
+    """Two-factor forward dynamics df/f = sigma_l dW_l + sigma_s e^{-alpha (T-t)} dW_s."""
+
+    alpha: float
+    sigma_s: float
+    sigma_l: float
+    rho: float
+
+    def __post_init__(self):
+        if not (self.alpha > 0 and self.sigma_s > 0 and self.sigma_l > 0):
+            raise ValueError("alpha, sigma_s and sigma_l must be positive")
+        if not -1.0 <= self.rho <= 1.0:
+            raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
+
+    def log_variance(self, t):
+        """Variance v(t) of sigma_l W_t + sigma_s Y_t (Y the short OU factor)."""
+        t = np.asarray(t, dtype=float)
+        a = self.alpha
+        return (
+            self.sigma_l**2 * t
+            + self.sigma_s**2 * -np.expm1(-2.0 * a * t) / (2.0 * a)
+            + 2.0 * self.rho * self.sigma_l * self.sigma_s * -np.expm1(-a * t) / a
+        )
+
+    def forward_log_variance(self, t, maturity):
+        """Variance of log f(t, maturity) around log f(0, maturity)."""
+        t = np.asarray(t, dtype=float)
+        a = self.alpha
+        decay = np.exp(-a * (maturity - t))
+        return (
+            self.sigma_l**2 * t
+            + self.sigma_s**2 * decay**2 * -np.expm1(-2.0 * a * t) / (2.0 * a)
+            + 2.0 * self.rho * self.sigma_l * self.sigma_s * decay * -np.expm1(-a * t) / a
+        )
+
+
+@dataclass(frozen=True)
+class ForwardCurve:
+    """Strictly positive piecewise-constant initial forward curve f(0, T).
+
+    Stored as breakpoints 0 = t_0 < ... < t_k and one level per segment
+    [t_{j-1}, t_j); evaluation at t_k returns the last level.
+    """
+
+    breakpoints: np.ndarray
+    levels: np.ndarray
+
+    def __post_init__(self):
+        bp = np.asarray(self.breakpoints, dtype=float)
+        lv = np.asarray(self.levels, dtype=float)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "levels", lv)
+        if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0):
+            raise ValueError("breakpoints must be strictly increasing, length >= 2")
+        if lv.shape != (bp.size - 1,):
+            raise ValueError("need one level per segment")
+        if not np.all(lv > 0):
+            raise ValueError("forward curve must be strictly positive")
+
+    @classmethod
+    def flat(cls, level: float, horizon: float = 1.0) -> "ForwardCurve":
+        return cls(np.array([0.0, horizon]), np.array([float(level)]))
+
+    @classmethod
+    def from_segments(cls, segments: Sequence[Tuple[float, float, float]]) -> "ForwardCurve":
+        """Build from (start, end, price) delivery-period quotes; must tile."""
+        segs = sorted(segments)
+        bp = [segs[0][0]]
+        lv = []
+        for start, end, price in segs:
+            if start != bp[-1]:
+                raise ValueError(f"segments must tile without gaps; break at {start}")
+            bp.append(end)
+            lv.append(price)
+        return cls(np.asarray(bp), np.asarray(lv))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.breakpoints[0]) or np.any(t > self.breakpoints[-1]):
+            raise ValueError("maturity outside the curve domain")
+        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, self.levels.size - 1)
+        return self.levels[idx][()]
+
+
+@dataclass(frozen=True)
+class TwoFactorDynamics:
+    """Continuous leg of a ModelSpec: two-factor model + initial curve."""
+
+    params: TwoFactorParams
+    curve: ForwardCurve
+
+
+ContinuousSpec = Union[ExpOU, Flat, TwoFactorDynamics]
 
 
 @dataclass(frozen=True)

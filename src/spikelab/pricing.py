@@ -9,14 +9,17 @@ m1 the mean jump size.  Averaging over a delivery period [T, T + theta]
 multiplies the decaying part by (1 - exp(-beta theta)) / (beta theta).
 
 Log spot model (log S = Xc + Z): the forward factorizes, f = fc * fb with
+the compound-Poisson exponential functional
 
-    fb(t,T) = exp(e^{-beta(T-t)} Z_t)
-              * exp( (lambda / beta) * int_0^1 (phi(u) - phi(u e^{-beta(T-t)})) / u du ),
+    fb(t,T) = exp(eps Z_t) * exp((lambda / beta) int_eps^1 (phi(v) - 1) / v dv),
+    eps = exp(-beta (T - t)),
 
-phi(u) the exponential moment of the jump law.  (Equivalently the exponent is
-(lambda/beta) int_eps^1 (phi(v) - 1) / v dv with eps = e^{-beta(T-t)}, the
-compound-Poisson exponential functional; both forms are verified against
-brute-force Monte Carlo in the test suite.)
+phi the exponential moment of the jump law.  The integral is exact for every
+law (``JumpLaw.exp_moment_integral``): sum_i w_i ln((b_i - s_i eps) / (b_i -
+s_i)) for a mixture of signed exponentials s_i Exp(b_i), which needs s_i < b_i,
+and Ein(x) - Ein(eps x) for a point mass at x (averaged over the sample for an
+empirical law), with Ein(z) = int_0^z (e^t - 1) / t dt.  Both models are
+checked against brute-force Monte Carlo in the test suite.
 
 Strip options are priced under the Merton measure: the Brownian drift is
 re-centred so every forward is a martingale while the jump intensity and law
@@ -27,25 +30,25 @@ martingale two-factor value plus the simulated spike process.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import GridSpec, JumpLaw, SampledPath, SpikeParams, law_exp_moment
-from .simulate import make_rng, simulate_spikes_batch, _two_factor_states
+from .model import ForwardCurve, GridSpec, SpikeParams, TwoFactorParams
+from .simulate import make_rng, simulate_spikes_batch, _two_factor_spot, _two_factor_states
+
+# defined in model; benchmarks/workloads.py still imports it from here
+from .model import TwoFactorDynamics  # noqa: F401
 
 # not called here since spike paths are built in batches; benchmarks/spans.py
 # still looks the name up in this module when it wraps the layers
 from .simulate import simulate_spikes  # noqa: F401
 
 __all__ = [
-    "TwoFactorParams",
-    "ForwardCurve",
-    "TwoFactorDynamics",
     "StripOptionSpec",
     "PriceWithCI",
-    "adaptive_simpson",
     "forward_spike_arith",
     "forward_spike_delivery",
     "forward_spike_log",
@@ -55,104 +58,8 @@ __all__ = [
     "price_strip_mc",
 ]
 
-
-@dataclass(frozen=True)
-class TwoFactorParams:
-    """Two-factor forward dynamics df/f = sigma_l dW_l + sigma_s e^{-alpha (T-t)} dW_s."""
-
-    alpha: float
-    sigma_s: float
-    sigma_l: float
-    rho: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.sigma_s > 0 and self.sigma_l > 0):
-            raise ValueError("alpha, sigma_s and sigma_l must be positive")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
-
-    def log_variance(self, t):
-        """Variance v(t) of sigma_l W_t + sigma_s Y_t (Y the short OU factor)."""
-        t = np.asarray(t, dtype=float)
-        a = self.alpha
-        return (
-            self.sigma_l**2 * t
-            + self.sigma_s**2 * -np.expm1(-2.0 * a * t) / (2.0 * a)
-            + 2.0 * self.rho * self.sigma_l * self.sigma_s * -np.expm1(-a * t) / a
-        )
-
-    def forward_log_variance(self, t, maturity):
-        """Variance of log f(t, maturity) around log f(0, maturity)."""
-        t = np.asarray(t, dtype=float)
-        a = self.alpha
-        decay = np.exp(-a * (maturity - t))
-        return (
-            self.sigma_l**2 * t
-            + self.sigma_s**2 * decay**2 * -np.expm1(-2.0 * a * t) / (2.0 * a)
-            + 2.0 * self.rho * self.sigma_l * self.sigma_s * decay * -np.expm1(-a * t) / a
-        )
-
-
-@dataclass(frozen=True)
-class ForwardCurve:
-    """Strictly positive piecewise-constant initial forward curve f(0, T).
-
-    Stored as breakpoints 0 = t_0 < ... < t_k and one level per segment
-    [t_{j-1}, t_j); evaluation at t_k returns the last level.
-    """
-
-    breakpoints: np.ndarray
-    levels: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        lv = np.asarray(self.levels, dtype=float)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "levels", lv)
-        if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing, length >= 2")
-        if lv.shape != (bp.size - 1,):
-            raise ValueError("need one level per segment")
-        if not np.all(lv > 0):
-            raise ValueError("forward curve must be strictly positive")
-
-    @classmethod
-    def flat(cls, level: float, horizon: float = 1.0) -> "ForwardCurve":
-        return cls(np.array([0.0, horizon]), np.array([float(level)]))
-
-    @classmethod
-    def from_segments(cls, segments: Sequence[Tuple[float, float, float]]) -> "ForwardCurve":
-        """Build from (start, end, price) delivery-period quotes; must tile."""
-        segs = sorted(segments)
-        bp = [segs[0][0]]
-        lv = []
-        for start, end, price in segs:
-            if start != bp[-1]:
-                raise ValueError(f"segments must tile without gaps; break at {start}")
-            bp.append(end)
-            lv.append(price)
-        return cls(np.asarray(bp), np.asarray(lv))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.breakpoints[0]) or np.any(t > self.breakpoints[-1]):
-            raise ValueError("maturity outside the curve domain")
-        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, self.levels.size - 1)
-        return self.levels[idx][()]
-
-
-@dataclass(frozen=True)
-class TwoFactorDynamics:
-    """Continuous-part spec for spot simulation: two-factor model + initial curve."""
-
-    params: TwoFactorParams
-    curve: ForwardCurve
-
-    def simulate_spot_path(self, grid: GridSpec, rng: np.random.Generator) -> SampledPath:
-        from .simulate import simulate_two_factor
-
-        path, _ = simulate_two_factor(self.params, self.curve, grid, rng)
-        return path
+# largest exponent whose exp is a finite float
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_strip(exercise_times, num_sims: int) -> np.ndarray:
@@ -188,41 +95,6 @@ class PriceWithCI:
     stderr: float
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_intervals: int = 10_000,
-) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance and interval cap."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    intervals = 0
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol):
-        nonlocal intervals
-        intervals += 1
-        if intervals > max_intervals:
-            raise RuntimeError("adaptive Simpson exceeded the interval cap")
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, tol / 2.0) + recurse(
-            xm, x2, f1, fr, f2, right, tol / 2.0
-        )
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol)
-
-
 def forward_spike_arith(z_now: float, params: SpikeParams, t: float, maturity: float) -> float:
     """Spike correction fb(t, T) to the forward price in the arithmetic model."""
     if maturity < t:
@@ -252,54 +124,26 @@ def forward_spike_delivery(
     return decay * smear * z_now + lam * mean_jump / beta * (1.0 - decay * smear)
 
 
-def _exp_moment_diff(law: JumpLaw, u: float, eps: float) -> float:
-    """phi(u) - phi(u * eps), evaluated without cancellation for small u."""
-    from .model import Empirical, PointMass, SignedExponentialMixture
+def forward_spike_log(z_now: float, params: SpikeParams, t: float, maturity: float) -> float:
+    """Multiplicative spike factor fb(t, T) for the log-price model, in closed form.
 
-    if isinstance(law, SignedExponentialMixture):
-        # per component: b/(b - s u) - b/(b - s u eps) = b s u (1-eps) / prod
-        total = 0.0
-        for w, b, s in zip(law.weights, law.rates, law.signs):
-            if s * u >= b:
-                raise ValueError(
-                    f"exponential moment diverges at u={u} (sign {s:+d}, rate {b})"
-                )
-            total += w * b * s * u * (1.0 - eps) / ((b - s * u) * (b - s * u * eps))
-        return total
-    if isinstance(law, PointMass):
-        return math.expm1(u * law.size) - math.expm1(u * eps * law.size)
-    if isinstance(law, Empirical):
-        return float(np.mean(np.expm1(u * law.samples) - np.expm1(u * eps * law.samples)))
-    return law.exp_moment(u) - law.exp_moment(u * eps)
-
-
-def forward_spike_log(
-    z_now: float, params: SpikeParams, t: float, maturity: float, quad_tol: float = 1e-10
-) -> float:
-    """Multiplicative spike factor fb(t, T) for the log-price model.
-
-    Requires the exponential moment of the jump law to be finite on [0, 1].
-    The u-integral is evaluated by adaptive Simpson quadrature; the integrand
-    (phi(u) - phi(u eps)) / u extends continuously to u = 0 with value
-    (1 - eps) * mean jump size.
+    fb = exp(eps z_now + (lambda / beta) law.exp_moment_integral(eps)) with
+    eps = exp(-beta (T - t)); see the module docstring for the integral.
+    Requires the exponential moment of the jump law to be finite on [eps, 1];
+    raises ValueError naming the law when it is not, or when the factor
+    overflows a float.
     """
     if maturity < t:
         raise ValueError("maturity must not precede the valuation time")
     law = params.law
-    law_exp_moment(law, 1.0)  # validate the convergence strip up front
-    lam, beta = params.intensity, params.reversion
-    if maturity == t:
-        return math.exp(z_now)
-    eps = math.exp(-beta * (maturity - t))
-    limit0 = (1.0 - eps) * law.mean()
-
-    def integrand(u: float) -> float:
-        if u == 0.0:
-            return limit0
-        return _exp_moment_diff(law, u, eps) / u
-
-    integral = adaptive_simpson(integrand, 0.0, 1.0, tol=quad_tol)
-    return math.exp(eps * z_now) * math.exp(lam / beta * integral)
+    eps = math.exp(-params.reversion * (maturity - t))
+    exponent = eps * z_now + params.intensity / params.reversion * law.exp_moment_integral(eps)
+    if not exponent <= _LOG_MAX:
+        raise ValueError(
+            f"log-model spike factor exp({exponent:.6g}) is not representable "
+            f"(jump law {type(law).__name__})"
+        )
+    return math.exp(exponent)
 
 
 def two_factor_forward(
@@ -384,16 +228,13 @@ def strip_payoffs(
 
 def _batch_spot(two_factor, curve, spikes, grid, rng, paths, antithetic) -> np.ndarray:
     """Spot on the grid for one batch of paths, shape (paths, n + 1)."""
-    t = grid.times()
     if antithetic:
         wl, ys = _two_factor_states(two_factor, grid, rng, paths // 2)
         wl = np.concatenate([wl, -wl], axis=0)
         ys = np.concatenate([ys, -ys], axis=0)
     else:
         wl, ys = _two_factor_states(two_factor, grid, rng, paths)
-    spot = curve(t) * np.exp(
-        -0.5 * two_factor.log_variance(t) + two_factor.sigma_l * wl + two_factor.sigma_s * ys
-    )
+    spot = _two_factor_spot(two_factor, curve, grid.times(), wl, ys)
     del wl, ys  # free the factors before the spike paths are built
     if spikes is not None:
         spot += simulate_spikes_batch(spikes, grid, rng, paths)

@@ -20,7 +20,8 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.signal import lfilter
 
-from .model import ExpOU, Flat, GridSpec, ModelSpec, SampledPath, SpikeParams
+from .model import ContinuousSpec, ExpOU, Flat, ForwardCurve, GridSpec, ModelSpec, SampledPath
+from .model import SpikeParams, TwoFactorDynamics, TwoFactorParams
 
 __all__ = [
     "JumpRecord",
@@ -229,15 +230,13 @@ def simulate_exp_ou(
     return SampledPath(grid, values)
 
 
-def _continuous_path(spec, grid, rng) -> SampledPath:
+def _continuous_path(spec: ContinuousSpec, grid: GridSpec, rng: np.random.Generator) -> SampledPath:
     if isinstance(spec, ExpOU):
         return simulate_exp_ou(spec, grid, rng)
     if isinstance(spec, Flat):
         return SampledPath(grid, np.full(grid.n + 1, float(spec.level)))
-    # two-factor dynamics (spikelab.pricing) are duck-typed to avoid a cycle
-    simulate = getattr(spec, "simulate_spot_path", None)
-    if simulate is not None:
-        return simulate(grid, rng)
+    if isinstance(spec, TwoFactorDynamics):
+        return simulate_two_factor(spec.params, spec.curve, grid, rng)[0]
     raise TypeError(f"unsupported continuous spec {type(spec).__name__}")
 
 
@@ -290,23 +289,30 @@ def _two_factor_states(params, grid, rng, paths: int):
     return wl, lfilter([1.0], [1.0, -a], innov, axis=1)
 
 
+def _two_factor_spot(params, curve, t, w_long, y_short) -> np.ndarray:
+    """Spot f(0,t) exp(-v(t)/2 + sigma_l W_t + sigma_s Y_t) from the factor states.
+
+    Works on one path or a batch (factor arrays of shape (n + 1,) or (paths,
+    n + 1)).
+    """
+    return curve(t) * np.exp(
+        -0.5 * params.log_variance(t) + params.sigma_l * w_long + params.sigma_s * y_short
+    )
+
+
 def simulate_two_factor(
-    params,
-    initial_curve,
+    params: TwoFactorParams,
+    initial_curve: ForwardCurve,
     grid: GridSpec,
     rng: np.random.Generator,
 ) -> Tuple[SampledPath, dict]:
     """Simulate the two-factor spot Xc_t = f(0,t) exp(-v(t)/2 + sl W_t + ss Y_t).
 
-    ``params`` is a pricing.TwoFactorParams and ``initial_curve`` a
-    pricing.ForwardCurve; v(t) is the exact log-variance so the spot is a
-    martingale against the initial curve.  Returns the spot path and the
-    factor states {"w_long", "y_short"}.
+    v(t) is the exact log-variance, so the spot is a martingale against the
+    initial curve.  Returns the spot path and the factor states {"w_long",
+    "y_short"}.
     """
     wl, y = _two_factor_states(params, grid, rng, paths=1)
     wl, y = wl[0], y[0]
-    t = grid.times()
-    values = initial_curve(t) * np.exp(
-        -0.5 * params.log_variance(t) + params.sigma_l * wl + params.sigma_s * y
-    )
+    values = _two_factor_spot(params, initial_curve, grid.times(), wl, y)
     return SampledPath(grid, values), {"w_long": wl, "y_short": y}

@@ -1,13 +1,17 @@
-"""Brute-force Monte Carlo oracles used by the pricing tests.
+"""Brute-force oracles used by the pricing tests.
 
-These sample the spike process terminal value directly from its definition
-(Poisson number of jumps, uniform arrival times, decayed sizes) without going
-through the closed-form pricing code they are used to check.
+The Monte Carlo oracles sample the spike process terminal value directly from
+its definition (Poisson number of jumps, uniform arrival times, decayed sizes)
+without going through the closed-form pricing code they are used to check;
+adaptive Simpson quadrature checks the closed-form integrals.
 """
+
+import math
+from typing import Callable, Tuple
 
 import numpy as np
 
-from spikelab.model import SpikeParams
+from spikelab.model import JumpLaw, PointMass, SignedExponentialMixture, SpikeParams
 
 
 def spike_terminal_samples(
@@ -26,3 +30,63 @@ def spike_terminal_samples(
 
 def mc_mean_with_se(samples: np.ndarray):
     return samples.mean(), samples.std(ddof=1) / np.sqrt(samples.size)
+
+
+def adaptive_simpson(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+    max_intervals: int = 10_000,
+) -> float:
+    """Adaptive Simpson quadrature with absolute tolerance and interval cap."""
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    intervals = 0
+
+    def recurse(x0, x2, f0, f1, f2, whole, tol):
+        nonlocal intervals
+        intervals += 1
+        if intervals > max_intervals:
+            raise RuntimeError("adaptive Simpson exceeded the interval cap")
+        xm = 0.5 * (x0 + x2)
+        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        fl, fr = f(xl), f(xr)
+        left = simpson(x0, xm, f0, fl, f1)
+        right = simpson(xm, x2, f1, fr, f2)
+        if abs(left + right - whole) <= 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(x0, xm, f0, fl, f1, left, tol / 2.0) + recurse(
+            xm, x2, f1, fr, f2, right, tol / 2.0
+        )
+
+    fa, fb = f(a), f(b)
+    fm = f(0.5 * (a + b))
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol)
+
+
+def exp_moment_integral_quadrature(law: JumpLaw, eps: float) -> Tuple[float, float]:
+    """int_eps^1 (phi(v) - 1) / v dv by adaptive Simpson, phi the exponential moment.
+
+    The integrand splits into one part per mixture component, s / (b - s v),
+    or per sample x, expm1(v x) / v: each keeps one sign and has no
+    cancellation, so each is integrated to ~1e-13 relative on its own.
+    Returns the integral and the sum of the parts' magnitudes, the scale
+    against which the rounding of the summed parts is measured.
+    """
+    if isinstance(law, SignedExponentialMixture):
+        parts = [
+            (w, lambda v, b=b, s=s: s / (b - s * v))
+            for w, b, s in zip(law.weights, law.rates, law.signs)
+        ]
+    else:
+        sizes = np.atleast_1d(law.size if isinstance(law, PointMass) else law.samples)
+        parts = [(1.0 / sizes.size, lambda v, x=x: math.expm1(v * x) / v) for x in sizes]
+    values = []
+    for weight, f in parts:
+        # (1 - eps) * max|f| bounds the part and is within a factor ~|x| of it
+        scale = (1.0 - eps) * max(abs(f(eps)), abs(f(1.0)))
+        values.append(weight * adaptive_simpson(f, eps, 1.0, tol=1e-13 * scale, max_intervals=100_000))
+    return math.fsum(values), math.fsum(abs(v) for v in values)

@@ -27,14 +27,13 @@ from spikelab.model import (
 from spikelab.pricing import (
     ForwardCurve,
     TwoFactorParams,
-    adaptive_simpson,
     forward_spike_arith,
     forward_spike_delivery,
     forward_spike_log,
 )
 from spikelab.simulate import child_seed, interval_index, make_rng, simulate_spikes, simulate_spot
 
-from mc_oracles import mc_mean_with_se, spike_terminal_samples
+from mc_oracles import adaptive_simpson, mc_mean_with_se, spike_terminal_samples
 
 # study law: 0.4 (-Exp(mean 15)) + 0.6 Exp(mean 10); exponential components
 # are parameterized by rate, so means 15 / 10 are rates 1/15 / 1/10

@@ -1,6 +1,7 @@
 """CSV ingestion rules and the command-line surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,27 @@ class TestDispatch:
         assert payload["value"] == pytest.approx(
             10.0 * (-0.4 * 15 + 0.6 * 10) / 200.0 * (1 - np.exp(-10.0)), rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "law_lines,name",
+        [
+            ("jump.kind = pointmass\njump.size = 1000", "point mass"),
+            ("jump.kind = pointmass\njump.size = 600", "PointMass"),
+            ("jump.kind = empirical\njump.samples = 1000, 2", "empirical"),
+        ],
+    )
+    def test_price_forward_log_overflow_fails_in_one_line(self, tmp_path, capsys, law_lines, name):
+        path = tmp_path / "law.cfg"
+        path.write_text(f"lambda = 10\nbeta = 200\n{law_lines}\n")
+        argv = ["price-forward", "--config", str(path), "--t", "0", "--T", "0.05", "--log-model"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape to stderr
+            status = dispatch(argv)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("spikelab: ") and captured.err.count("\n") == 1
+        assert name in captured.err
 
     def test_price_strip_outputs_json(self, two_factor_config, capsys):
         status = dispatch(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikelab.model import (
     Empirical,
@@ -13,11 +15,10 @@ from spikelab.model import (
     SignedExponentialMixture,
     SpikeParams,
     check_assumptions,
-    law_exp_moment,
-    law_moment,
-    sample_jump,
     sign,
 )
+
+from mc_oracles import exp_moment_integral_quadrature
 
 MIX = SignedExponentialMixture((0.4, 0.6), (15.0, 10.0), (-1, 1))
 
@@ -48,27 +49,27 @@ class TestGrid:
 class TestMoments:
     def test_point_mass_moments(self):
         law = PointMass(-3.0)
-        assert law_moment(law, 1, "signed") == -3.0
-        assert law_moment(law, 2, "absolute") == 9.0
-        assert law_moment(law, 1, "sign") == -1.0
+        assert law.moment(1, "signed") == -3.0
+        assert law.moment(2, "absolute") == 9.0
+        assert law.moment(1, "sign") == -1.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("a", [2.5, -3.0, 0.1])
     def test_point_mass_power_identity(self, a, m):
-        assert law_moment(PointMass(a), m, "signed") == pytest.approx(a**m)
+        assert PointMass(a).moment(m, "signed") == pytest.approx(a**m)
 
     def test_mixture_hand_values(self):
-        assert law_moment(MIX, 1, "sign") == pytest.approx(0.6 - 0.4)
-        assert law_moment(MIX, 1, "absolute") == pytest.approx(0.4 / 15 + 0.6 / 10)
-        assert law_moment(MIX, 1, "signed") == pytest.approx(-0.4 / 15 + 0.6 / 10)
+        assert MIX.moment(1, "sign") == pytest.approx(0.6 - 0.4)
+        assert MIX.moment(1, "absolute") == pytest.approx(0.4 / 15 + 0.6 / 10)
+        assert MIX.moment(1, "signed") == pytest.approx(-0.4 / 15 + 0.6 / 10)
         # second moment of Exp(b) is 2 / b^2
-        assert law_moment(MIX, 2, "absolute") == pytest.approx(0.4 * 2 / 225 + 0.6 * 2 / 100)
+        assert MIX.moment(2, "absolute") == pytest.approx(0.4 * 2 / 225 + 0.6 * 2 / 100)
 
     def test_empirical_moments_are_plain_averages(self):
         law = Empirical(np.array([1.0, -2.0, 3.0]))
-        assert law_moment(law, 1, "signed") == (1 - 2 + 3) / 3
-        assert law_moment(law, 2, "absolute") == (1 + 4 + 9) / 3
-        assert law_moment(law, 1, "sign") == pytest.approx(1 / 3)
+        assert law.moment(1, "signed") == (1 - 2 + 3) / 3
+        assert law.moment(2, "absolute") == (1 + 4 + 9) / 3
+        assert law.moment(1, "sign") == pytest.approx(1 / 3)
 
     def test_mixture_validation(self):
         with pytest.raises(ValueError):
@@ -84,40 +85,98 @@ class TestExpMoments:
         "law", [MIX, PointMass(0.7), Empirical(np.array([0.3, -0.2, 1.1]))]
     )
     def test_normalization_at_zero(self, law):
-        assert law_exp_moment(law, 0.0) == pytest.approx(1.0)
+        assert law.exp_moment(0.0) == pytest.approx(1.0)
 
     def test_point_mass_exponential(self):
-        assert law_exp_moment(PointMass(2.0), 0.3) == pytest.approx(math.exp(0.6))
+        assert PointMass(2.0).exp_moment(0.3) == pytest.approx(math.exp(0.6))
 
     def test_mixture_hand_value(self):
         # 0.4 * 15/16 + 0.6 * 10/9
-        assert law_exp_moment(MIX, 1.0) == pytest.approx(0.4 * 15 / 16 + 0.6 * 10 / 9)
+        assert MIX.exp_moment(1.0) == pytest.approx(0.4 * 15 / 16 + 0.6 * 10 / 9)
 
     def test_divergence_names_component(self):
         with pytest.raises(ValueError, match="rate 10"):
-            law_exp_moment(MIX, 10.0)
+            MIX.exp_moment(10.0)
 
     @pytest.mark.parametrize(
         "law", [MIX, PointMass(-1.5), Empirical(np.array([0.5, -0.25, 2.0]))]
     )
     def test_convexity_on_strip(self, law):
         us = np.linspace(-0.9, 0.9, 9)
-        vals = [law_exp_moment(law, u) for u in us]
-        mids = [law_exp_moment(law, 0.5 * (a + b)) for a, b in zip(us[:-1], us[1:])]
+        vals = [law.exp_moment(u) for u in us]
+        mids = [law.exp_moment(0.5 * (a + b)) for a, b in zip(us[:-1], us[1:])]
         for lo, hi, mid in zip(vals[:-1], vals[1:], mids):
             assert mid <= 0.5 * (lo + hi) + 1e-12
 
 
+
+# jump sizes of either sign with |x| in [1e-4, 5]
+SIZES = st.builds(
+    lambda magnitude, sgn: sgn * magnitude,
+    st.floats(1e-4, 5.0),
+    st.sampled_from((-1.0, 1.0)),
+)
+# eps on [e^-30, 1 - 1e-9]: drawn directly and log-uniformly, so that both
+# ends (tiny eps, eps next to 1) are explored
+EPS = st.one_of(
+    st.floats(math.exp(-30.0), 1.0 - 1e-9),
+    st.floats(-30.0, math.log1p(-1e-9)).map(math.exp),
+)
+
+
+@st.composite
+def mixtures(draw):
+    k = draw(st.integers(1, 3))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=k, max_size=k))
+    # sign < rate keeps phi finite on [0, 1]; 0.05 away from the pole
+    rates = [draw(st.floats(max(s, 0) + 0.05, 200.0)) for s in signs]
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    weights = [w / sum(raw) for w in raw]
+    return SignedExponentialMixture(tuple(weights), tuple(rates), tuple(signs))
+
+
+LAWS = st.one_of(
+    mixtures(),
+    SIZES.map(PointMass),
+    st.lists(SIZES, min_size=1, max_size=8).map(lambda xs: Empirical(np.array(xs))),
+)
+
+
+class TestExpMomentIntegral:
+    @settings(max_examples=200, deadline=None)
+    @given(law=LAWS, eps=EPS)
+    def test_matches_quadrature(self, law, eps):
+        got = law.exp_moment_integral(eps)
+        want, scale = exp_moment_integral_quadrature(law, eps)
+        # scale = |want| unless parts of both signs cancel in the sum
+        assert abs(got - want) <= max(1e-10 * scale, 1e-14)
+
+    @pytest.mark.parametrize("law", [MIX, PointMass(-2.0), Empirical(np.array([0.3, -0.2]))])
+    def test_vanishes_at_eps_one(self, law):
+        assert law.exp_moment_integral(1.0) == 0.0
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    def test_mixture_pole_names_component(self, rate):
+        law = SignedExponentialMixture((0.5, 0.5), (15.0, rate), (-1, 1))
+        with pytest.raises(ValueError, match=f"component 1 \\(sign \\+1, rate {rate}\\)"):
+            law.exp_moment_integral(0.2)
+
+    def test_unrepresentable_moment_names_law(self):
+        with pytest.raises(ValueError, match="point mass at 1000"):
+            PointMass(1000.0).exp_moment_integral(0.5)
+        with pytest.raises(ValueError, match="empirical"):
+            Empirical(np.array([1000.0, 2.0])).exp_moment_integral(0.5)
+
 class TestSampling:
     def test_point_mass_constant(self):
         rng = np.random.default_rng(0)
-        assert all(sample_jump(PointMass(2.5), rng) == 2.5 for _ in range(100))
+        assert all(PointMass(2.5).sample(rng) == 2.5 for _ in range(100))
 
     def test_mixture_mean_matches_analytic(self):
         rng = np.random.default_rng(7)
         draws = MIX.sample(rng, 1_000_000)
         se = draws.std() / math.sqrt(draws.size)
-        assert abs(draws.mean() - law_moment(MIX, 1, "signed")) < 4 * se
+        assert abs(draws.mean() - MIX.moment(1, "signed")) < 4 * se
         assert np.all(draws != 0.0)
 
     def test_empirical_frequencies(self):

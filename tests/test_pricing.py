@@ -11,7 +11,6 @@ from spikelab.pricing import (
     ForwardCurve,
     StripOptionSpec,
     TwoFactorParams,
-    adaptive_simpson,
     forward_spike_arith,
     forward_spike_delivery,
     forward_spike_log,
@@ -20,7 +19,12 @@ from spikelab.pricing import (
 )
 from spikelab.simulate import _two_factor_states, make_rng
 
-from mc_oracles import mc_mean_with_se, spike_terminal_samples
+from mc_oracles import (
+    adaptive_simpson,
+    exp_moment_integral_quadrature,
+    mc_mean_with_se,
+    spike_terminal_samples,
+)
 
 MIX = SignedExponentialMixture((0.4, 0.6), (15.0, 10.0), (-1, 1))
 ZERO_MEAN = SignedExponentialMixture((0.5, 0.5), (10.0, 10.0), (-1, 1))
@@ -119,6 +123,28 @@ class TestForwardLog:
         samples = np.exp(spike_terminal_samples(params, horizon, 400_000, seed=seed))
         mean, se = mc_mean_with_se(samples)
         assert abs(value - mean) < 3 * se
+
+    @pytest.mark.parametrize(
+        "params,z,t,maturity",
+        [
+            # the cases above and acceptance criterion 3's log cases
+            (PARAMS, 1.2, 0.3, 0.3),
+            (SpikeParams(1e-12, 200.0, MIX), 0.9, 0.0, 0.05),
+            (SpikeParams(10.0, 200.0, PointMass(1.0)), 0.0, 0.0, 0.01),
+            (PARAMS, 0.0, 0.0, 0.05),
+            (PARAMS, 1.0, 0.0, 0.05),
+            (SpikeParams(10.0, 200.0, PointMass(0.08)), 0.0, 0.0, 0.05),
+            (SpikeParams(20.0, 500.0, PointMass(0.08)), 0.0, 0.0, 0.03),
+            (SpikeParams(10.0, 200.0, Empirical(np.array([0.05, -0.1, 0.2, 0.12, -0.03]))), 0.0, 0.0, 0.05),
+            (SpikeParams(5.0, 50.0, PointMass(-2.0)), 0.4, 0.1, 0.3),
+            (SpikeParams(5.0, 50.0, PointMass(4.0)), -0.2, 0.0, 1e-4),
+        ],
+    )
+    def test_matches_quadrature(self, params, z, t, maturity):
+        eps = math.exp(-params.reversion * (maturity - t))
+        integral, _ = exp_moment_integral_quadrature(params.law, eps)
+        expected = math.exp(eps * z) * math.exp(params.intensity / params.reversion * integral)
+        assert forward_spike_log(z, params, t, maturity) == pytest.approx(expected, rel=1e-12)
 
     def test_state_enters_through_decayed_exponent(self):
         a = forward_spike_log(1.0, self.PARAMS, 0.0, 0.05)
