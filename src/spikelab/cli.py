@@ -487,6 +487,7 @@ def _cmd_study_pricing(args) -> int:
             "without": {"estimate": row.without_spikes.estimate, "ci95": list(row.without_spikes.ci95)},
             "with": {"estimate": row.with_spikes.estimate, "ci95": list(row.with_spikes.ci95)},
             "premium": row.spike_premium,
+            "premium_ci95": list(row.premium_ci95),
         }
         for row in rows
     ]

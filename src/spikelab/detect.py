@@ -109,8 +109,14 @@ def multipower_variation(path: SampledPath, order: int = 20) -> float:
     if not incr.any():
         raise DegeneratePathError("constant path: all increments are zero")
     r = 2.0 / order
-    windows = np.lib.stride_tricks.sliding_window_view(incr**r, order)
-    mpv = windows.prod(axis=1).sum() / gaussian_abs_moment(r) ** order
+    powers = incr**r
+    # products of every window of `order` consecutive powers, multiplied up
+    # left to right: a few passes over n values, no (n, order) window array
+    width = n - order + 1
+    prods = powers[:width] * powers[1 : width + 1]
+    for j in range(2, order):
+        prods *= powers[j : j + width]
+    mpv = prods.sum() / gaussian_abs_moment(r) ** order
     if not mpv > 0:
         raise DegeneratePathError("multipower variation vanished (too many zero increments)")
     return float(np.sqrt(mpv))

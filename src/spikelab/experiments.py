@@ -25,7 +25,7 @@ from .detect import PLAIN, SIGN_FILTERED, DetectionConfig, detect_jumps, multipo
 from .estimate import estimate_beta, estimate_lambda
 from .model import ContinuousSpec, ForwardCurve, GridSpec, JumpLaw, ModelSpec, SpikeParams
 from .model import TwoFactorParams
-from .pricing import PriceWithCI, price_from_payoffs, strip_payoffs
+from .pricing import PriceWithCI, ci95, price_from_payoffs, strip_payoffs
 
 # not called here since every strike is priced from one ensemble;
 # benchmarks/spans.py still looks the name up in this module
@@ -171,44 +171,57 @@ class PricingStudyConfig:
 
 @dataclass(frozen=True)
 class PricingStudyRow:
+    """One strike in both settings; the premium CI comes from the paired units."""
+
     strike: float
     without_spikes: PriceWithCI
     with_spikes: PriceWithCI
     spike_premium: float
+    premium_stderr: float
+    premium_ci95: Tuple[float, float]
 
 
 def run_pricing_study(config: PricingStudyConfig) -> List[PricingStudyRow]:
-    """Price every strike in both settings, one simulation per setting.
+    """Price every strike in both settings from one path ensemble.
 
-    Each setting (without / with spikes) simulates one path ensemble from its
-    own child stream of the master seed, and every strike is priced on those
-    same paths, so the price is exactly non-increasing in the strike
-    replication by replication.  Each price equals ``price_strip_mc`` for
-    that strike alone on the same stream.
+    Both settings (without / with spikes) share the Gaussian factors of the
+    ensemble drawn from the child stream (master_seed, 0); the spike paths are
+    drawn from the same stream after them (see ``strip_payoffs``).  Every
+    strike is priced on those same paths, so each price is exactly
+    non-increasing in the strike replication by replication, and equals
+    ``price_strip_mc`` for that strike and setting alone on that stream.
+    Payoffs are summed in exercise-time order.  The premium is the difference
+    of the two prices; its stderr and CI come from the per-unit differences,
+    which the common factors make far less noisy than either price.
     """
-    settings = []
-    for key, spikes in enumerate((None, config.spikes)):
-        payoffs = strip_payoffs(
-            config.two_factor,
-            config.curve,
-            spikes,
-            config.grid,
-            config.exercise_times,
-            config.strikes,
-            config.num_sims,
-            make_rng(child_seed(config.master_seed, key)),
-            config.antithetic,
+    without_pay, with_pay = strip_payoffs(
+        config.two_factor,
+        config.curve,
+        (None, config.spikes),
+        config.grid,
+        config.exercise_times,
+        config.strikes,
+        config.num_sims,
+        make_rng(child_seed(config.master_seed, 0)),
+        config.antithetic,
+    )
+    rows = []
+    for k, strike in enumerate(config.strikes):
+        without = price_from_payoffs(without_pay[:, k], config.num_sims)
+        with_spikes = price_from_payoffs(with_pay[:, k], config.num_sims)
+        premium = with_spikes.estimate - without.estimate
+        paired = price_from_payoffs(with_pay[:, k] - without_pay[:, k], config.num_sims)
+        rows.append(
+            PricingStudyRow(
+                strike=float(strike),
+                without_spikes=without,
+                with_spikes=with_spikes,
+                spike_premium=premium,
+                premium_stderr=paired.stderr,
+                premium_ci95=ci95(premium, paired.stderr),
+            )
         )
-        settings.append([price_from_payoffs(column, config.num_sims) for column in payoffs.T])
-    return [
-        PricingStudyRow(
-            strike=float(strike),
-            without_spikes=without,
-            with_spikes=with_spikes,
-            spike_premium=with_spikes.estimate - without.estimate,
-        )
-        for strike, without, with_spikes in zip(config.strikes, *settings)
-    ]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +273,8 @@ def pricing_rows_to_csv(rows: Sequence[PricingStudyRow], path: str) -> None:
                 "ci_lo_with",
                 "ci_hi_with",
                 "spike_premium",
+                "premium_ci_lo",
+                "premium_ci_hi",
             ]
         )
         for row in rows:
@@ -273,5 +288,7 @@ def pricing_rows_to_csv(rows: Sequence[PricingStudyRow], path: str) -> None:
                     row.with_spikes.ci95[0],
                     row.with_spikes.ci95[1],
                     row.spike_premium,
+                    row.premium_ci95[0],
+                    row.premium_ci95[1],
                 ]
             )

@@ -24,7 +24,11 @@ checked against brute-force Monte Carlo in the test suite.
 Strip options are priced under the Merton measure: the Brownian drift is
 re-centred so every forward is a martingale while the jump intensity and law
 are untouched.  Since fb(T,T) = Z_T, the spot at an exercise date is just the
-martingale two-factor value plus the simulated spike process.
+martingale two-factor value plus the simulated spike process.  The settings
+with and without spikes are priced from one shared stream: each batch draws
+its Gaussian factors, takes the no-spike payoffs, then draws its jumps and
+adds them to the same spot.  Each path's payoff is summed in exercise-time
+order, over only the dates where the spot clears the strike.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +59,7 @@ __all__ = [
     "two_factor_forward",
     "strip_payoffs",
     "price_from_payoffs",
+    "ci95",
     "price_strip_mc",
 ]
 
@@ -184,69 +189,101 @@ def _exercise_columns(grid: GridSpec, times: np.ndarray) -> np.ndarray:
 # with it every seeded price) as well as the memory one batch needs.
 _BATCH = 512
 
+# Paths whose exercise values are scanned for payoffs at once: bounds the
+# mask and the index arrays to a small slice of one batch.
+_ROW_BLOCK = 64
+
 
 def strip_payoffs(
     two_factor: TwoFactorParams,
     curve: ForwardCurve,
-    spikes: Optional[SpikeParams],
+    settings: Sequence[Optional[SpikeParams]],
     grid: GridSpec,
     exercise_times,
     strikes: Sequence[float],
     num_sims: int,
     rng: np.random.Generator,
     antithetic: bool = False,
-) -> np.ndarray:
-    """Strip payoffs of every strike on one simulated ensemble, shape (units, strikes).
+) -> List[np.ndarray]:
+    """Strip payoffs of every strike in every spike setting on one ensemble.
 
-    Spot at an exercise date: S_t = f(0,t) exp(-v(t)/2 + sigma_l W_t +
-    sigma_s Y_t) + Z_t, the spike process simulated with unchanged intensity
-    and law (the Merton change of measure only re-centres the Brownian
-    drivers).  Units are i.i.d.: single paths, or with ``antithetic`` the
-    averages of path pairs whose Gaussian factors are mirrored (spikes are
-    left alone).  Paths are simulated in batches of 512, each from its own
-    child stream of ``rng``; column k equals what strike k alone gives on the
-    same stream.
+    Returns one (units, strikes) matrix per entry of ``settings``, where
+    ``None`` means no spikes.  Spot at an exercise date: S_t = f(0,t)
+    exp(-v(t)/2 + sigma_l W_t + sigma_s Y_t) + Z_t, the spike process
+    simulated with unchanged intensity and law (the Merton change of measure
+    only re-centres the Brownian drivers).  Units are i.i.d.: single paths,
+    or with ``antithetic`` the averages of path pairs whose Gaussian factors
+    are mirrored (spikes are left alone).
+
+    Paths are simulated in batches of 512, each from its own child stream of
+    ``rng``, and every setting shares the batch's Gaussian factors: the
+    factors are drawn first and the no-spike payoffs taken, then the jumps
+    are drawn from the same stream and added.  Only the last setting may
+    therefore have spikes, and its matrix equals what it gives alone on the
+    same stream.  Column k equals what strike k gives alone; each payoff is
+    summed in exercise-time order.
     """
     cols = _exercise_columns(grid, _check_strip(exercise_times, num_sims))
+    strikes = np.asarray(strikes, dtype=float)
+    if strikes.ndim != 1 or strikes.size == 0 or not np.all(np.isfinite(strikes)):
+        raise ValueError("strikes must be a nonempty sequence of finite numbers")
+    if not settings or any(spikes is not None for spikes in settings[:-1]):
+        raise ValueError("only the last of the spike settings may have spikes")
     if antithetic and num_sims % 2:
         raise ValueError("antithetic pricing needs an even number of simulations")
-    units = []
+    units = [[] for _ in settings]
     remaining = num_sims
     while remaining > 0:
         batch = min(_BATCH, remaining)
         if antithetic:
             batch -= batch % 2
-        spot = _batch_spot(two_factor, curve, spikes, grid, rng.spawn(1)[0], batch, antithetic)
-        pay = _strike_payoffs(spot[:, cols], strikes)
+        stream = rng.spawn(1)[0]
+        spot = _factor_spot(two_factor, curve, grid, stream, batch, antithetic)
+        for out, spikes in zip(units, settings):
+            if spikes is not None:
+                spot += simulate_spikes_batch(spikes, grid, stream, batch)
+            pay = _strike_payoffs(spot, cols, strikes)
+            if antithetic:
+                pay = 0.5 * (pay[: batch // 2] + pay[batch // 2 :])
+            out.append(pay)
         del spot  # free this batch before the next one is simulated
-        if antithetic:
-            pay = 0.5 * (pay[: batch // 2] + pay[batch // 2 :])
-        units.append(pay)
         remaining -= batch
-    return np.concatenate(units)
+    return [np.concatenate(out) for out in units]
 
 
-def _batch_spot(two_factor, curve, spikes, grid, rng, paths, antithetic) -> np.ndarray:
-    """Spot on the grid for one batch of paths, shape (paths, n + 1)."""
+def _factor_spot(two_factor, curve, grid, rng, paths, antithetic) -> np.ndarray:
+    """No-spike spot on the grid for one batch of paths, shape (paths, n + 1)."""
     if antithetic:
         wl, ys = _two_factor_states(two_factor, grid, rng, paths // 2)
         wl = np.concatenate([wl, -wl], axis=0)
         ys = np.concatenate([ys, -ys], axis=0)
     else:
         wl, ys = _two_factor_states(two_factor, grid, rng, paths)
-    spot = _two_factor_spot(two_factor, curve, grid.times(), wl, ys)
-    del wl, ys  # free the factors before the spike paths are built
-    if spikes is not None:
-        spot += simulate_spikes_batch(spikes, grid, rng, paths)
-    return spot
+    return _two_factor_spot(two_factor, curve, grid.times(), wl, ys)
 
 
-def _strike_payoffs(at_exercise: np.ndarray, strikes: Sequence[float]) -> np.ndarray:
-    """Strip payoffs sum_t (S_t - K)^+ per path and strike, shape (paths, strikes)."""
-    pay = np.empty((at_exercise.shape[0], len(strikes)))
-    for k, strike in enumerate(strikes):
-        excess = at_exercise - strike
-        pay[:, k] = np.maximum(excess, 0.0, out=excess).sum(axis=1)
+def _strike_payoffs(spot: np.ndarray, cols: np.ndarray, strikes: np.ndarray) -> np.ndarray:
+    """Strip payoffs sum_t (S_t - K)^+ over the exercise columns, shape (paths, strikes).
+
+    Only spot values above the lowest strike can pay; they are found a block
+    of rows at a time and summed per path by ``bincount``, which adds them in
+    time order.  That is bit for bit the time-ordered sum of (S_t - K)^+ over
+    every exercise date, since adding the other terms, +0.0, is exact.
+    """
+    steps = np.diff(cols)
+    if steps.size == 0 or np.all(steps == steps[0]):
+        # evenly spaced dates are a view, not a copy of the batch
+        cols = slice(cols[0], cols[-1] + 1, steps[0] if steps.size else 1)
+    lowest = strikes.min()
+    pay = np.empty((spot.shape[0], strikes.size))
+    for start in range(0, spot.shape[0], _ROW_BLOCK):
+        block = spot[start : start + _ROW_BLOCK, cols]
+        size = block.shape[0]
+        rows, times = np.nonzero(block > lowest)  # row-major: each path in time order
+        above = block[rows, times]
+        for k, strike in enumerate(strikes):
+            excess = np.maximum(above - strike, 0.0)
+            pay[start : start + size, k] = np.bincount(rows, weights=excess, minlength=size)
     return pay
 
 
@@ -254,13 +291,13 @@ def price_from_payoffs(units: np.ndarray, num_sims: int) -> PriceWithCI:
     """Monte Carlo estimate and 95% CI from one strike's i.i.d. payoff units."""
     estimate = float(units.mean())
     stderr = float(units.std(ddof=1) / math.sqrt(units.size))
-    ci_half = 1.96 * stderr
-    return PriceWithCI(
-        estimate=estimate,
-        ci95=(estimate - ci_half, estimate + ci_half),
-        num_sims=num_sims,
-        stderr=stderr,
-    )
+    return PriceWithCI(estimate=estimate, ci95=ci95(estimate, stderr), num_sims=num_sims, stderr=stderr)
+
+
+def ci95(centre: float, stderr: float) -> Tuple[float, float]:
+    """Normal 95% confidence interval centre -/+ 1.96 stderr."""
+    half = 1.96 * stderr
+    return (centre - half, centre + half)
 
 
 def price_strip_mc(
@@ -279,10 +316,10 @@ def price_strip_mc(
     pair averages).  Without ``rng`` the paths come from ``spec.seed``.
     """
     master = make_rng(spec.seed) if rng is None else rng
-    units = strip_payoffs(
+    (units,) = strip_payoffs(
         two_factor,
         curve,
-        spikes,
+        (spikes,),
         grid,
         spec.exercise_times,
         (spec.strike,),

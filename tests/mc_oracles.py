@@ -1,9 +1,11 @@
-"""Brute-force oracles used by the pricing tests.
+"""Brute-force oracles used by the tests.
 
 The Monte Carlo oracles sample the spike process terminal value directly from
 its definition (Poisson number of jumps, uniform arrival times, decayed sizes)
 without going through the closed-form pricing code they are used to check;
-adaptive Simpson quadrature checks the closed-form integrals.
+adaptive Simpson quadrature checks the closed-form integrals.  The strip
+payoff and multipower variation references are the plain forms the package's
+faster ones must match bit for bit.
 """
 
 import math
@@ -11,6 +13,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from spikelab.detect import DegeneratePathError, gaussian_abs_moment
 from spikelab.model import JumpLaw, PointMass, SignedExponentialMixture, SpikeParams
 
 
@@ -90,3 +93,31 @@ def exp_moment_integral_quadrature(law: JumpLaw, eps: float) -> Tuple[float, flo
         scale = (1.0 - eps) * max(abs(f(eps)), abs(f(1.0)))
         values.append(weight * adaptive_simpson(f, eps, 1.0, tol=1e-13 * scale, max_intervals=100_000))
     return math.fsum(values), math.fsum(abs(v) for v in values)
+
+
+def multipower_variation_windows(path, order: int) -> float:
+    """``detect.multipower_variation`` computed from an (n, order) window view.
+
+    The straightforward form: each window's product is reduced left to right,
+    the order the package's running products use, so the two agree bit for bit.
+    """
+    incr = np.abs(path.increments())
+    if not incr.any():
+        raise DegeneratePathError("constant path: all increments are zero")
+    r = 2.0 / order
+    windows = np.lib.stride_tricks.sliding_window_view(incr**r, order)
+    mpv = windows.prod(axis=1).sum() / gaussian_abs_moment(r) ** order
+    if not mpv > 0:
+        raise DegeneratePathError("multipower variation vanished (too many zero increments)")
+    return float(np.sqrt(mpv))
+
+
+def strip_payoffs_time_ordered(spot: np.ndarray, cols, strikes) -> np.ndarray:
+    """sum_t (S_t - K)^+ per path and strike, accumulated one exercise date at a time."""
+    pay = np.empty((spot.shape[0], len(strikes)))
+    for k, strike in enumerate(strikes):
+        acc = np.zeros(spot.shape[0])
+        for t in cols:
+            acc += np.maximum(spot[:, t] - strike, 0.0)
+        pay[:, k] = acc
+    return pay

@@ -292,6 +292,32 @@ class TestDispatch:
         # three near-ATM exercises on a level-40 curve: price is near 3 * 20
         assert 40 < payload["estimate"] < 80
 
+    def test_study_pricing_reports_premium_ci(self, two_factor_config, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        status = dispatch(
+            [
+                "study-pricing",
+                "--config",
+                two_factor_config,
+                "--strikes",
+                "40,1000000",
+                "--sims",
+                "200",
+                "--seed",
+                "3",
+                "--out",
+                str(out_dir),
+                "--json",
+            ]
+        )
+        assert status == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows == json.loads((out_dir / "pricing_study.json").read_text())
+        assert [list(row) for row in rows] == [["strike", "without", "with", "premium", "premium_ci95"]] * 2
+        lo, hi = rows[0]["premium_ci95"]
+        assert lo < rows[0]["premium"] < hi
+        assert rows[1]["premium_ci95"] == [0.0, 0.0]
+
     def test_study_estimation_writes_outputs(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.cfg"
         cfg_path.write_text(MODEL_CFG.replace("grid.n = 10000", "grid.n = 2000") + "study.pairs = 10:200\n")

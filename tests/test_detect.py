@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikelab.detect import (
     PLAIN,
@@ -17,6 +19,8 @@ from spikelab.detect import (
     multipower_variation,
 )
 from spikelab.model import GridSpec, SampledPath
+
+from mc_oracles import multipower_variation_windows
 
 
 def brownian_path(sigma, n, seed, horizon=1.0):
@@ -64,6 +68,25 @@ class TestMultipower:
         path = brownian_path(1.0, 10, seed=1)
         with pytest.raises(ValueError):
             multipower_variation(path, 20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_window_view(self, data):
+        order = data.draw(st.integers(2, 25), label="order")
+        n = data.draw(st.integers(order + 1, 400), label="n")
+        # values drawn from these levels make increments of exactly 0,
+        # +-1e-300 and +-1e150 (products near the float range's ends)
+        level = st.one_of(st.sampled_from([0.0, 1e-300, -1e-300, 1e150, -1e150]), st.floats(-10.0, 10.0))
+        values = data.draw(st.lists(level, min_size=n + 1, max_size=n + 1), label="values")
+        path = SampledPath(GridSpec(n, 1.0), values)
+
+        def outcome(estimator):
+            try:
+                return estimator(path, order)
+            except DegeneratePathError as err:
+                return str(err)
+
+        assert outcome(multipower_variation) == outcome(multipower_variation_windows)
 
 
 class TestThreshold:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spikelab import pricing
 from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig
 from spikelab.experiments import (
     PricingStudyConfig,
@@ -143,7 +144,7 @@ class TestPricingStudy:
         assert [row.strike for row in rows] == [20.0, 40.0, 80.0]
         for row in rows:
             spec = StripOptionSpec(config.exercise_times, row.strike, config.num_sims)
-            for key, spikes, price in ((0, None, row.without_spikes), (1, config.spikes, row.with_spikes)):
+            for key, spikes, price in ((0, None, row.without_spikes), (0, config.spikes, row.with_spikes)):
                 alone = price_strip_mc(
                     config.two_factor,
                     config.curve,
@@ -163,3 +164,36 @@ class TestPricingStudy:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("strike,")
+
+    def test_absurd_strike_premium_ci_is_exactly_zero(self):
+        row = run_pricing_study(self.make_config((1e6,)))[0]
+        assert row.premium_stderr == 0.0
+        assert row.premium_ci95 == (0.0, 0.0)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_paired_premium_ci_is_narrower(self, antithetic):
+        config = replace(self.make_config((40.0,)), antithetic=antithetic)
+        row = run_pricing_study(config)[0]
+        # centred on the premium, the price difference, not on the mean difference
+        assert row.premium_ci95 == pricing.ci95(row.spike_premium, row.premium_stderr)
+        assert 0.0 < row.premium_stderr < np.hypot(row.with_spikes.stderr, row.without_spikes.stderr)
+
+    def test_one_factor_ensemble_serves_both_settings(self, monkeypatch):
+        draws = []
+        factor_states = pricing._two_factor_states
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return factor_states(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "_two_factor_states", counted)
+        run_pricing_study(self.make_config((40.0,), sims=1_100))
+        assert len(draws) == 3  # batches of 512, 512 and 76 paths
+
+    def test_csv_premium_ci_columns(self, tmp_path):
+        rows = run_pricing_study(self.make_config((40.0,)))
+        out = tmp_path / "pricing.csv"
+        pricing_rows_to_csv(rows, str(out))
+        header, line = out.read_text().strip().splitlines()
+        assert header.endswith(",spike_premium,premium_ci_lo,premium_ci_hi")
+        assert [float(x) for x in line.split(",")[-2:]] == list(rows[0].premium_ci95)

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spikelab.model import Empirical, GridSpec, PointMass, SignedExponentialMixture, SpikeParams
 from spikelab.pricing import (
+    _ROW_BLOCK,
     ForwardCurve,
     StripOptionSpec,
     TwoFactorParams,
@@ -16,6 +19,7 @@ from spikelab.pricing import (
     forward_spike_log,
     price_strip_mc,
     two_factor_forward,
+    _strike_payoffs,
 )
 from spikelab.simulate import _two_factor_states, make_rng
 
@@ -24,6 +28,7 @@ from mc_oracles import (
     exp_moment_integral_quadrature,
     mc_mean_with_se,
     spike_terminal_samples,
+    strip_payoffs_time_ordered,
 )
 
 MIX = SignedExponentialMixture((0.4, 0.6), (15.0, 10.0), (-1, 1))
@@ -296,3 +301,25 @@ class TestStripPricing:
         stat = np.sum((estimates - estimates.mean()) ** 2 / stderrs**2)
         dof = estimates.size - 1
         assert stats.chi2.ppf(0.005, dof) < stat < stats.chi2.ppf(0.995, dof)
+
+
+class TestStrikePayoffs:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_time_ordered_sum(self, data):
+        strikes = data.draw(st.lists(st.floats(-50.0, 150.0), min_size=1, max_size=4), label="strikes")
+        paths = data.draw(st.integers(1, 3 * _ROW_BLOCK), label="paths")
+        n = data.draw(st.integers(1, 120), label="n")
+        step = data.draw(st.sampled_from([1, 24, None]), label="step")  # hourly, daily, irregular
+        if step is None:
+            cols = np.array(sorted(data.draw(st.sets(st.integers(1, n), min_size=1), label="cols")))
+        else:
+            cols = np.arange(data.draw(st.integers(1, n), label="first"), n + 1, step)
+        # spot values below, at and above every strike, negative ones included
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        spot = rng.uniform(-100.0, 300.0, (paths, n + 1))
+        at_strike = rng.random(spot.shape) < data.draw(st.floats(0.0, 0.5), label="share at a strike")
+        spot[at_strike] = rng.choice(strikes, at_strike.sum())
+
+        pay = _strike_payoffs(spot, cols, np.asarray(strikes))
+        assert pay.tobytes() == strip_payoffs_time_ordered(spot, cols, strikes).tobytes()
