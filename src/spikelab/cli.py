@@ -1,13 +1,13 @@
-"""Command-line interface and CSV ingestion.
+"""Command-line interface.
 
 Subcommands: simulate, detect, estimate, price-forward, price-strip,
 study-estimation, study-pricing.  Exit codes: 0 success, 1 computation or
 input error (one-line diagnostic on stderr), 2 usage error.  Data goes to
 stdout, diagnostics to stderr; ``--json`` switches machine-readable output.
 
-Ingested series are renormalized to horizon 1 (the real calendar span is
-recorded so estimates can be reported per year); floats are written with
-``repr`` so a simulate -> write -> load round trip is bit-exact.
+``detect`` and ``estimate`` read their series with ``ingest.load_spot_csv``;
+floats are written with ``repr`` so a simulate -> write -> load round trip is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,7 +34,9 @@ from .experiments import (
     study_rows_to_csv,
     study_summary,
 )
-from .model import GridSpec, SampledPath, TwoFactorDynamics
+from .ingest import DEDUP_KEEP_FIRST, DEDUP_REJECT, GAP_FFILL1, GAP_REJECT
+from .ingest import IngestError, IngestReport, IngestRules, load_spot_csv
+from .model import GridSpec, TwoFactorDynamics
 from .pricing import (
     StripOptionSpec,
     forward_spike_arith,
@@ -47,169 +47,6 @@ from .pricing import (
 from .simulate import make_rng, simulate_spot
 
 __all__ = ["IngestRules", "IngestReport", "IngestError", "load_spot_csv", "dispatch", "main"]
-
-SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
-
-GAP_REJECT = "reject"
-GAP_FFILL1 = "forward_fill_max_1"
-DEDUP_REJECT = "reject"
-DEDUP_KEEP_FIRST = "keep_first"
-
-
-class IngestError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class IngestRules:
-    """How to turn a raw CSV into a regular grid.
-
-    ``timestamp_column`` / ``price_column`` default to the first and second
-    header fields.  ``expected_step`` is in the timestamp unit and is
-    inferred from the data (modal spacing) when omitted.
-    """
-
-    timestamp_column: Optional[str] = None
-    price_column: Optional[str] = None
-    expected_step: Optional[float] = None
-    gap_policy: str = GAP_REJECT
-    dedup_policy: str = DEDUP_REJECT
-
-    def __post_init__(self):
-        if self.expected_step is not None and not self.expected_step > 0:
-            raise ValueError(f"expected_step must be positive, got {self.expected_step}")
-        if self.gap_policy not in (GAP_REJECT, GAP_FFILL1):
-            raise ValueError(f"unknown gap policy {self.gap_policy!r}")
-        if self.dedup_policy not in (DEDUP_REJECT, DEDUP_KEEP_FIRST):
-            raise ValueError(f"unknown dedup policy {self.dedup_policy!r}")
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    rows_read: int
-    n: int
-    step: float
-    span: float
-    calendar_timestamps: bool  # True when timestamps were ISO-8601 dates
-    filled_timestamps: tuple = field(default_factory=tuple)
-    duplicates_dropped: int = 0
-
-    @property
-    def span_years(self) -> Optional[float]:
-        return self.span / SECONDS_PER_YEAR if self.calendar_timestamps else None
-
-
-def _parse_timestamp(text: str) -> Tuple[float, bool]:
-    """Timestamp as (numeric value, was_calendar).  ISO-8601 maps to epoch seconds."""
-    text = text.strip()
-    try:
-        return float(text), False
-    except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise IngestError(f"cannot parse timestamp {text!r}") from exc
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.timestamp(), True
-
-
-def _infer_step(diffs: np.ndarray) -> float:
-    positive = diffs[diffs > 0]
-    if positive.size == 0:
-        raise IngestError("cannot infer a time step from constant timestamps")
-    rounded = np.round(positive / positive.min())
-    values, counts = np.unique(positive / np.maximum(rounded, 1), return_counts=True)
-    return float(values[np.argmax(counts)])
-
-
-def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestReport]:
-    """Load a price series onto a strictly regular grid, horizon normalized to 1.
-
-    Duplicated timestamps follow ``dedup_policy``; a single missing step is
-    forward filled under ``forward_fill_max_1`` and anything larger is an
-    error naming the first missing timestamp.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise IngestError(f"{path}: missing CSV header")
-        fields = reader.fieldnames
-        ts_col = rules.timestamp_column or fields[0]
-        px_col = rules.price_column or (fields[1] if len(fields) > 1 else None)
-        if ts_col not in fields:
-            raise IngestError(f"{path}: no timestamp column {ts_col!r}")
-        if px_col is None or px_col not in fields:
-            raise IngestError(f"{path}: no price column {px_col!r}")
-        times: List[float] = []
-        prices: List[float] = []
-        calendar = False
-        for row in reader:
-            stamp, is_cal = _parse_timestamp(row[ts_col])
-            calendar = calendar or is_cal
-            try:
-                price = float(row[px_col])
-            except (TypeError, ValueError) as exc:
-                raise IngestError(f"{path}: bad price {row[px_col]!r} at {row[ts_col]}") from exc
-            times.append(stamp)
-            prices.append(price)
-
-    if len(times) < 3:
-        raise IngestError(f"{path}: need at least 3 rows, got {len(times)}")
-    times_arr = np.asarray(times)
-    prices_arr = np.asarray(prices)
-    rows_read = len(times)
-
-    if rules.dedup_policy == DEDUP_REJECT:
-        bad = np.nonzero(np.diff(times_arr) <= 0)[0]
-        if bad.size:
-            raise IngestError(
-                f"{path}: non-monotone timestamp at row {bad[0] + 2} (t={times[bad[0] + 1]})"
-            )
-        dropped = 0
-    else:
-        order = np.argsort(times_arr, kind="stable")
-        times_arr, prices_arr = times_arr[order], prices_arr[order]
-        keep = np.concatenate([[True], np.diff(times_arr) > 0])
-        dropped = int(np.count_nonzero(~keep))
-        times_arr, prices_arr = times_arr[keep], prices_arr[keep]
-
-    diffs = np.diff(times_arr)
-    step = rules.expected_step if rules.expected_step is not None else _infer_step(diffs)
-    filled: List[float] = []
-    out_prices: List[float] = [float(prices_arr[0])]
-    for i, gap in enumerate(diffs):
-        k = int(round(gap / step))
-        if abs(gap / step - k) > 1e-6 * max(k, 1):
-            raise IngestError(
-                f"{path}: irregular spacing {gap!r} after t={times_arr[i]!r} "
-                f"(expected multiples of {step!r})"
-            )
-        if k == 1:
-            out_prices.append(float(prices_arr[i + 1]))
-        elif k == 2 and rules.gap_policy == GAP_FFILL1:
-            filled.append(float(times_arr[i] + step))
-            out_prices.append(float(prices_arr[i]))  # forward fill one step
-            out_prices.append(float(prices_arr[i + 1]))
-        else:
-            raise IngestError(
-                f"{path}: gap of {k} steps after t={times_arr[i]!r}; first missing "
-                f"timestamp {times_arr[i] + step!r}"
-            )
-
-    n = len(out_prices) - 1
-    path_obj = SampledPath(GridSpec(n=n, horizon=1.0), np.asarray(out_prices))
-    report = IngestReport(
-        rows_read=rows_read,
-        n=n,
-        step=float(step),
-        span=float(times_arr[-1] - times_arr[0]),
-        calendar_timestamps=calendar,
-        filled_timestamps=tuple(filled),
-        duplicates_dropped=dropped,
-    )
-    return path_obj, report
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +96,7 @@ def _cmd_simulate(args) -> int:
 def _ingest_rules(args) -> IngestRules:
     gap = GAP_FFILL1 if args.gap_policy == "ffill1" else GAP_REJECT
     dedup = DEDUP_KEEP_FIRST if args.dedup_policy == "keep-first" else DEDUP_REJECT
-    return IngestRules(
-        timestamp_column=args.time_col,
-        price_column=args.price_col,
-        expected_step=args.step,
-        gap_policy=gap,
-        dedup_policy=dedup,
-    )
+    return IngestRules(args.time_col, args.price_col, args.step, gap_policy=gap, dedup_policy=dedup)
 
 
 def _detection_config(args) -> DetectionConfig:

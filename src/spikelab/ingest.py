@@ -1,0 +1,291 @@
+"""CSV ingestion: a price series onto a strictly regular grid, horizon normalized to 1.
+
+Accepted input: UTF-8, comma separated, a header row naming the columns (the
+timestamp and price columns default to the first two; a repeated name means
+its last column).  Fields may be quoted with ``"``; LF and CRLF endings are
+read and empty lines skipped.  There are no comment lines: a ``#`` line is a
+data row that fails to parse.  A timestamp is a number (any unit) or an
+ISO-8601 date-time as ``datetime.fromisoformat`` reads it, ``Z`` meaning UTC;
+naive stamps are UTC and calendar stamps map to epoch seconds.  Prices are
+floats; a non-finite price or timestamp is an error.  ``dedup_policy``
+rejects repeated or decreasing timestamps, or sorts and keeps the first of
+each repeat; ``gap_policy`` rejects any missing step, or forward fills a
+single one.  Every spacing must be a whole number of steps.
+
+Errors are ``IngestError`` with one line naming the file and the 1-based data
+row (empty lines not counted).  The two columns are converted whole by numpy;
+the per-row reader runs only on a file this bulk pass rejects, returning the
+same values or raising the error that names the first bad row.
+"""
+
+from __future__ import annotations
+
+import csv
+import re
+import warnings
+from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from typing import Optional, Tuple
+
+import numpy as np
+
+from .model import GridSpec, SampledPath
+
+__all__ = ["IngestRules", "IngestReport", "IngestError", "load_spot_csv"]
+
+SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
+
+GAP_REJECT = "reject"
+GAP_FFILL1 = "forward_fill_max_1"
+DEDUP_REJECT = "reject"
+DEDUP_KEEP_FIRST = "keep_first"
+
+# The ISO-8601 shapes (digits written as 9) that the bulk pass converts
+# itself: each is read the same way by datetime.fromisoformat on every
+# supported Python (3.10 takes fractions of 3 or 6 digits only)
+_ISO_SHAPE = re.compile(
+    r"(?P<year>9999)-(?P<month>99)-(?P<day>99)(?:[T ](?P<hour>99)(?::(?P<minute>99)"
+    r"(?::(?P<second>99)(?:\.(?P<fraction>999(?:999)?))?)?"
+    r"(?:Z|(?P<zone>[+-])(?P<zone_hour>99):(?P<zone_minute>99))?)?)?"
+)
+# one more character than the longest such stamp, so a truncated field shows
+_WIDTH = 33
+# microsecond counts below 2**53 convert to float exactly, so dividing by 1e6
+# rounds as datetime.timestamp() does
+_EXACT_US = 2**53
+
+
+class IngestError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class IngestRules:
+    """How to turn a raw CSV into a regular grid.
+
+    ``timestamp_column`` / ``price_column`` default to the first and second
+    header fields.  ``expected_step`` is in the timestamp unit and is
+    inferred from the data (modal spacing) when omitted.
+    """
+
+    timestamp_column: Optional[str] = None
+    price_column: Optional[str] = None
+    expected_step: Optional[float] = None
+    gap_policy: str = GAP_REJECT
+    dedup_policy: str = DEDUP_REJECT
+
+    def __post_init__(self):
+        if self.expected_step is not None and not self.expected_step > 0:
+            raise ValueError(f"expected_step must be positive, got {self.expected_step}")
+        if self.gap_policy not in (GAP_REJECT, GAP_FFILL1):
+            raise ValueError(f"unknown gap policy {self.gap_policy!r}")
+        if self.dedup_policy not in (DEDUP_REJECT, DEDUP_KEEP_FIRST):
+            raise ValueError(f"unknown dedup policy {self.dedup_policy!r}")
+
+
+@dataclass(frozen=True)
+class IngestReport:
+    rows_read: int
+    n: int
+    step: float
+    span: float
+    calendar_timestamps: bool  # True when timestamps were ISO-8601 dates
+    filled_timestamps: tuple = field(default_factory=tuple)
+    duplicates_dropped: int = 0
+
+    @property
+    def span_years(self) -> Optional[float]:
+        return self.span / SECONDS_PER_YEAR if self.calendar_timestamps else None
+
+
+def _parse_timestamp(text: str) -> Tuple[float, bool]:
+    """Timestamp as (numeric value, was_calendar); raises ValueError.  ISO-8601 maps to epoch seconds."""
+    try:
+        return float(text), False
+    except ValueError:
+        pass
+    stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp(), True
+
+
+def _read_rows(path: str, ts_idx: int, px_idx: int):
+    """(times, prices, stamp texts, calendar) row by row; the reference for ``_read_columns``."""
+    times, prices, texts, calendar = [], [], [], False
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)  # the header
+        for row in filter(None, reader):  # csv yields [] for an empty line
+            row += [""] * (max(ts_idx, px_idx) + 1 - len(row))  # a short row's missing fields
+            text = row[ts_idx].strip()
+            try:
+                stamp, is_cal = _parse_timestamp(text)
+            except ValueError:
+                raise IngestError(f"{path}: cannot parse timestamp {text!r} at row {len(times) + 1}") from None
+            try:
+                price = float(row[px_idx])
+            except ValueError:
+                raise IngestError(f"{path}: bad price {row[px_idx]!r} at row {len(times) + 1} (t={text})") from None
+            calendar = calendar or is_cal
+            times.append(stamp)
+            prices.append(price)
+            texts.append(text)
+    return np.asarray(times, dtype=float), np.asarray(prices, dtype=float), texts, calendar
+
+
+def _iso_seconds(stamps: np.ndarray) -> Optional[np.ndarray]:
+    """Epoch seconds of a column of ISO-8601 stamps, or None when a stamp needs the per-row parser.
+
+    Each distinct shape of the column (digits written as 9) must be one of
+    ``_ISO_SHAPE``'s; the fields are then read from the digits' byte codes.
+    """
+    codes = stamps.view(np.uint8).reshape(stamps.size, stamps.itemsize)
+    shapes = np.where((codes >= 48) & (codes <= 57), 57, codes).view(stamps.dtype).ravel()
+    micros = np.empty(stamps.size, dtype=np.int64)
+    kinds = {shapes[0], *np.unique(shapes[shapes != shapes[0]]).tolist()}
+    for shape in kinds:
+        match = _ISO_SHAPE.fullmatch(shape.decode("latin-1"))
+        if match is None:
+            return None
+        rows = shapes == shape if len(kinds) > 1 else slice(None)
+        block = codes[rows]
+
+        def number(name):
+            value = 0
+            for i in range(*match.span(name)):  # an absent field spans (-1, -1) and reads 0
+                value = value * 10 + block[:, i].astype(np.int64) - ord("0")
+            return value
+
+        year, month, day = number("year"), number("month"), number("day")
+        hour, minute, second = number("hour"), number("minute"), number("second")
+        zone_hour, zone_minute = number("zone_hour"), number("zone_minute")
+        first = (year - 1970).astype("datetime64[Y]").astype("datetime64[M]") + (month - 1)
+        month_start = first.astype("datetime64[D]").astype(np.int64)
+        month_days = (first + 1).astype("datetime64[D]").astype(np.int64) - month_start
+        ranges = [year >= 1, month >= 1, month <= 12, day >= 1, day <= month_days, hour <= 23]
+        ranges += [minute <= 59, second <= 59, zone_hour <= 23, zone_minute <= 59]
+        if not all(np.all(ok) for ok in ranges):
+            return None
+        zone = zone_hour * 60 + zone_minute
+        if match.start("zone") >= 0:
+            zone = np.where(block[:, match.start("zone")] == ord("-"), -zone, zone)
+        fraction = number("fraction") * 10 ** (6 - len(match.group("fraction") or ""))
+        minutes = ((month_start + day - 1) * 24 + hour) * 60 + minute - zone
+        micros[rows] = (minutes * 60 + second) * 10**6 + fraction
+    if np.abs(micros).max() >= _EXACT_US:
+        return None
+    return micros / 1e6
+
+
+def _read_columns(path: str, ts_idx: int, px_idx: int, header_lines: int):
+    """``_read_rows``'s result with whole-column conversions, or None when the file needs that reader.
+
+    The stamps are read as bytes, so a non-ASCII stamp makes numpy decline.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's notes on empty lines and files
+            data = np.loadtxt(
+                path, dtype=[("t", f"S{_WIDTH}"), ("p", float)], comments=None, delimiter=",", quotechar='"',
+                usecols=(ts_idx, px_idx), skiprows=header_lines, ndmin=1, encoding="utf-8",
+            )
+    except ValueError:
+        return None
+    width = int(np.char.str_len(data["t"]).max(initial=1))
+    if width >= _WIDTH:
+        return None
+    stamps, prices = data["t"].astype(f"S{width}"), data["p"].copy()
+    del data  # the wide rows go before the stamps are converted: they would set the peak memory
+    try:
+        return stamps.astype(float), prices, stamps, False
+    except ValueError:
+        seconds = _iso_seconds(stamps)
+    return None if seconds is None else (seconds, prices, stamps, True)
+
+
+def _infer_step(diffs: np.ndarray) -> float:
+    positive = diffs[diffs > 0]
+    if positive.size == 0:
+        raise IngestError("cannot infer a time step from constant timestamps")
+    rounded = np.round(positive / positive.min())
+    values, counts = np.unique(positive / np.maximum(rounded, 1), return_counts=True)
+    return float(values[np.argmax(counts)])
+
+
+def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestReport]:
+    """Load a price series onto a strictly regular grid, horizon normalized to 1.
+
+    Duplicated timestamps follow ``dedup_policy``; a single missing step is
+    forward filled under ``forward_fill_max_1`` and anything larger is an
+    error naming the first missing timestamp.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        fields = next(reader, None)
+        header_lines = reader.line_num
+    if not fields:
+        raise IngestError(f"{path}: missing CSV header")
+    column = {name: i for i, name in enumerate(fields)}  # a repeated name: its last column
+    ts_col = rules.timestamp_column or fields[0]
+    px_col = rules.price_column or (fields[1] if len(fields) > 1 else None)
+    if ts_col not in column:
+        raise IngestError(f"{path}: no timestamp column {ts_col!r}")
+    if px_col not in column:
+        raise IngestError(f"{path}: no price column {px_col!r}")
+    read = _read_columns(path, column[ts_col], column[px_col], header_lines)
+    times, prices, texts, calendar = read or _read_rows(path, column[ts_col], column[px_col])
+
+    rows_read = times.size
+    if rows_read < 3:
+        raise IngestError(f"{path}: need at least 3 rows, got {rows_read}")
+    rows = np.arange(rows_read)  # each kept value's 0-based data row
+
+    def text(row: int) -> str:  # a row's timestamp as written; the bulk pass keeps ASCII bytes
+        stamp = texts[row]
+        return stamp.decode() if isinstance(stamp, bytes) else stamp
+
+    def where(i: int) -> str:
+        row = rows[i]
+        return f"row {row + 1} (t={float(times[i])!r}" + (f", {text(row)!r})" if calendar else ")")
+
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise IngestError(f"{path}: non-finite timestamp {text(bad[0])!r} at row {bad[0] + 1}")
+
+    if rules.dedup_policy == DEDUP_REJECT:
+        bad = np.flatnonzero(np.diff(times) <= 0)
+        if bad.size:
+            raise IngestError(f"{path}: non-monotone timestamp at {where(bad[0] + 1)}")
+        dropped = 0
+    else:
+        order = np.argsort(times, kind="stable")
+        keep = np.concatenate([[True], np.diff(times[order]) > 0])
+        rows = order[keep]
+        times, prices = times[rows], prices[rows]
+        dropped = rows_read - rows.size
+    bad = np.flatnonzero(~np.isfinite(prices))
+    if bad.size:
+        raise IngestError(f"{path}: non-finite price {float(prices[bad[0]])!r} at {where(bad[0])}")
+
+    diffs = np.diff(times)
+    step = rules.expected_step if rules.expected_step is not None else _infer_step(diffs)
+    ratio = diffs / step
+    k = np.rint(ratio)
+    irregular = np.abs(ratio - k) > 1e-6 * np.maximum(k, 1)
+    fill = (k == 2) & (rules.gap_policy == GAP_FFILL1)
+    bad = np.flatnonzero(irregular | ((k != 1) & ~fill))
+    if bad.size:
+        i = bad[0]
+        if irregular[i]:
+            what = f"irregular spacing {float(diffs[i])!r} after {where(i)}; expected multiples of {float(step)!r}"
+        else:
+            what = f"gap of {int(k[i])} steps after {where(i)}; first missing timestamp {float(times[i] + step)!r}"
+        raise IngestError(f"{path}: {what}")
+
+    values = np.repeat(prices, np.append(k, 1).astype(np.intp))  # a filled step repeats its predecessor
+    n = values.size - 1
+    filled = tuple((times[:-1][fill] + step).tolist())
+    span = float(times[-1] - times[0])
+    report = IngestReport(rows_read, n, float(step), span, calendar, filled, dropped)
+    return SampledPath(GridSpec(n=n, horizon=1.0), values), report

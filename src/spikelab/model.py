@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import expi
+from scipy.special import exp1
 
 __all__ = [
     "GridSpec",
@@ -126,8 +126,9 @@ class JumpLaw:
 
 
 # Ein(z) = int_0^z (e^t - 1) / t dt = sum_{k>=1} z^k / (k k!), an entire
-# function.  The series is summed for |z| <= 5, where 40 terms reach rounding
-# level (5^40 / (40 * 40!) < 1e-21); beyond, Ein(z) = Ei(z) - ln|z| - gamma.
+# function.  For |z| <= 5, 40 terms reach rounding level (5^40 / (40 * 40!) <
+# 1e-21).  For z > 5 the terms z^k / k! are a Poisson weight times e^z, so
+# those beyond k = z + 10 sqrt(z) + 30 add less than 1e-20 of the sum.
 _EIN_K = np.arange(1, 41)
 _EIN_COEF = 1.0 / (_EIN_K * np.cumprod(_EIN_K.astype(float)))
 _EIN_SERIES_MAX = 5.0
@@ -136,19 +137,25 @@ _EIN_SERIES_MAX = 5.0
 def _ein(x: np.ndarray, eps: float = 0.0) -> np.ndarray:
     """Ein(x) - Ein(eps x) = int_eps^1 (exp(v x) - 1) / v dv, elementwise in x.
 
-    For |x| <= 5 the series is summed as sum_k x^k (1 - eps^k) / (k k!),
-    which keeps full relative accuracy as eps -> 1.  Beyond, two Ein values
-    are subtracted: the absolute error stays at the rounding of Ein(x), all
-    the forward factor exp(lambda / beta * integral) needs.
+    For x >= -5 the series is summed as sum_k x^k (1 - eps^k) / (k k!), which
+    keeps full relative accuracy as eps -> 1 (for x > 0 every term is
+    positive).  For x = -y < -5 the terms alternate and cancel, and
+    E1(eps y) - E1(y) + log(eps) is used instead; the E1 difference is at
+    most e^-5 of the log, so its rounding stays below the result's.
     """
     out = np.empty_like(x)
-    small = np.abs(x) <= _EIN_SERIES_MAX
+    small, large, negative = np.abs(x) <= _EIN_SERIES_MAX, x > _EIN_SERIES_MAX, x < -_EIN_SERIES_MAX
     log_eps = math.log(eps) if eps > 0.0 else -math.inf
     out[small] = np.power.outer(x[small], _EIN_K) @ (_EIN_COEF * -np.expm1(_EIN_K * log_eps))
-    big = x[~small]
-    out[~small] = expi(big) - np.log(np.abs(big)) - np.euler_gamma
+    if large.any():
+        k = np.arange(1, int(x[large].max() + 10 * math.sqrt(x[large].max())) + 31)
+        powers = np.cumprod(x[large, None] / k, axis=1)  # x^k / k!, at most e^x
+        out[large] = (powers / k) @ -np.expm1(k * log_eps)
+    y = -x[negative]
     if eps > 0.0:
-        out[~small] -= _ein(eps * big)
+        out[negative] = exp1(eps * y) - exp1(y) + log_eps
+    else:
+        out[negative] = -(exp1(y) + np.log(y) + np.euler_gamma)
     return out
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikelab.model import (
@@ -110,10 +110,11 @@ class TestExpMoments:
 
 
 
-# jump sizes of either sign with |x| in [1e-4, 5]
+# jump sizes of either sign with |x| in [1e-4, 30], across the |x| = 5 switch
+# between the short series and the long series or E1 differences
 SIZES = st.builds(
     lambda magnitude, sgn: sgn * magnitude,
-    st.floats(1e-4, 5.0),
+    st.floats(1e-4, 30.0),
     st.sampled_from((-1.0, 1.0)),
 )
 # eps on [e^-30, 1 - 1e-9]: drawn directly and log-uniformly, so that both
@@ -145,6 +146,12 @@ LAWS = st.one_of(
 class TestExpMomentIntegral:
     @settings(max_examples=200, deadline=None)
     @given(law=LAWS, eps=EPS)
+    # eps next to 1 beyond |x| = 5, where differences of two Ein values lost
+    # up to 1.7e-7 relative
+    @example(law=PointMass(5.0001), eps=1 - 1e-9)
+    @example(law=PointMass(30.0), eps=1 - 1e-9)
+    @example(law=PointMass(-7.0), eps=1 - 1e-9)
+    @example(law=Empirical(np.array([12.0, -30.0])), eps=1 - 1e-7)
     def test_matches_quadrature(self, law, eps):
         got = law.exp_moment_integral(eps)
         want, scale = exp_moment_integral_quadrature(law, eps)
