@@ -31,7 +31,6 @@ from .simulate import (
     simulate_spikes,
     simulate_spot,
     simulate_two_factor,
-    spike_values_from_jumps,
 )
 from .detect import (
     PLAIN,

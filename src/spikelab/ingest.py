@@ -6,11 +6,13 @@ its last column).  Fields may be quoted with ``"``; LF and CRLF endings are
 read and empty lines skipped.  There are no comment lines: a ``#`` line is a
 data row that fails to parse.  A timestamp is a number (any unit) or an
 ISO-8601 date-time as ``datetime.fromisoformat`` reads it, ``Z`` meaning UTC;
-naive stamps are UTC and calendar stamps map to epoch seconds.  Prices are
-floats; a non-finite price or timestamp is an error.  ``dedup_policy``
-rejects repeated or decreasing timestamps, or sorts and keeps the first of
-each repeat; ``gap_policy`` rejects any missing step, or forward fills a
-single one.  Every spacing must be a whole number of steps.
+naive stamps are UTC and calendar stamps map to epoch seconds; a column
+that mixes numbers and calendar stamps is an error.  Prices are floats; a
+non-finite price or timestamp is an error.  ``dedup_policy`` rejects
+repeated or decreasing timestamps, or sorts and keeps the first of each
+repeat; ``gap_policy`` rejects any missing step, or forward fills a single
+one.  Every spacing must be a whole number of steps, and the grid needs at
+least 2 of them.
 
 Errors are ``IngestError`` with one line naming the file and the 1-based data
 row (empty lines not counted).  The two columns are converted whole by numpy;
@@ -127,7 +129,10 @@ def _read_rows(path: str, ts_idx: int, px_idx: int):
                 price = float(row[px_idx])
             except ValueError:
                 raise IngestError(f"{path}: bad price {row[px_idx]!r} at row {len(times) + 1} (t={text})") from None
-            calendar = calendar or is_cal
+            if times and is_cal != calendar:
+                kind = "calendar" if is_cal else "numeric"
+                raise IngestError(f"{path}: {kind} timestamp {text!r} at row {len(times) + 1} differs in kind from row 1")
+            calendar = is_cal
             times.append(stamp)
             prices.append(price)
             texts.append(text)
@@ -205,11 +210,8 @@ def _read_columns(path: str, ts_idx: int, px_idx: int, header_lines: int):
 
 
 def _infer_step(diffs: np.ndarray) -> float:
-    positive = diffs[diffs > 0]
-    if positive.size == 0:
-        raise IngestError("cannot infer a time step from constant timestamps")
-    rounded = np.round(positive / positive.min())
-    values, counts = np.unique(positive / np.maximum(rounded, 1), return_counts=True)
+    """Modal spacing of strictly increasing timestamps, in multiples of the smallest."""
+    values, counts = np.unique(diffs / np.round(diffs / diffs.min()), return_counts=True)
     return float(values[np.argmax(counts)])
 
 
@@ -264,6 +266,8 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
         rows = order[keep]
         times, prices = times[rows], prices[rows]
         dropped = rows_read - rows.size
+        if times.size < 2:
+            raise IngestError(f"{path}: {times.size} distinct timestamps make a grid of fewer than 2 steps")
     bad = np.flatnonzero(~np.isfinite(prices))
     if bad.size:
         raise IngestError(f"{path}: non-finite price {float(prices[bad[0]])!r} at {where(bad[0])}")
@@ -285,6 +289,8 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
 
     values = np.repeat(prices, np.append(k, 1).astype(np.intp))  # a filled step repeats its predecessor
     n = values.size - 1
+    if n < 2:
+        raise IngestError(f"{path}: {times.size} distinct timestamps make a grid of fewer than 2 steps")
     filled = tuple((times[:-1][fill] + step).tolist())
     span = float(times[-1] - times[0])
     report = IngestReport(rows_read, n, float(step), span, calendar, filled, dropped)

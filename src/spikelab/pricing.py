@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import ForwardCurve, GridSpec, SpikeParams, TwoFactorParams
-from .simulate import make_rng, simulate_spikes_batch, _two_factor_spot, _two_factor_states
+from .simulate import make_rng, simulate_spikes_batch, simulate_two_factor
 
 # defined in model; benchmarks/workloads.py still imports it from here
 from .model import TwoFactorDynamics  # noqa: F401
@@ -234,11 +234,9 @@ def strip_payoffs(
     units = [[] for _ in settings]
     remaining = num_sims
     while remaining > 0:
-        batch = min(_BATCH, remaining)
-        if antithetic:
-            batch -= batch % 2
+        batch = min(_BATCH, remaining)  # even under antithetic, as _BATCH and num_sims are
         stream = rng.spawn(1)[0]
-        spot = _factor_spot(two_factor, curve, grid, stream, batch, antithetic)
+        spot = simulate_two_factor(two_factor, curve, grid, stream, batch, antithetic)
         for out, spikes in zip(units, settings):
             if spikes is not None:
                 spot += simulate_spikes_batch(spikes, grid, stream, batch)
@@ -249,17 +247,6 @@ def strip_payoffs(
         del spot  # free this batch before the next one is simulated
         remaining -= batch
     return [np.concatenate(out) for out in units]
-
-
-def _factor_spot(two_factor, curve, grid, rng, paths, antithetic) -> np.ndarray:
-    """No-spike spot on the grid for one batch of paths, shape (paths, n + 1)."""
-    if antithetic:
-        wl, ys = _two_factor_states(two_factor, grid, rng, paths // 2)
-        wl = np.concatenate([wl, -wl], axis=0)
-        ys = np.concatenate([ys, -ys], axis=0)
-    else:
-        wl, ys = _two_factor_states(two_factor, grid, rng, paths)
-    return _two_factor_spot(two_factor, curve, grid.times(), wl, ys)
 
 
 def _strike_payoffs(spot: np.ndarray, cols: np.ndarray, strikes: np.ndarray) -> np.ndarray:

@@ -7,6 +7,10 @@ two-factor risk-neutral model uses the exact joint Gaussian recursion of
 (long factor, short OU factor).  No Euler scheme anywhere, so ensemble
 statistics carry Monte Carlo error only.
 
+Each batched leg has one engine, ``spike_values_batch`` for the spikes and
+``simulate_two_factor`` for the two-factor spot; a single path is row 0 of a
+batch of one, so ``simulate_spot`` and the strip pricer share the arithmetic.
+
 Reproducibility contract: replication r of an experiment derives a child
 stream from (master seed, r) through a counter-based generator (Philox), so
 results are bit-identical for a fixed master seed at any parallelism degree.
@@ -29,7 +33,6 @@ __all__ = [
     "make_rng",
     "child_seed",
     "interval_index",
-    "spike_values_from_jumps",
     "simulate_spikes",
     "spike_values_batch",
     "simulate_spikes_batch",
@@ -89,59 +92,13 @@ def interval_index(time, grid: GridSpec):
     return int(i) if i.ndim == 0 else i
 
 
-def spike_values_from_jumps(
-    truth: Sequence[JumpRecord], grid: GridSpec, reversion: float
-) -> np.ndarray:
-    """Spike-process values Z_{t_i} = sum_{T_q <= t_i} J_q exp(-beta (t_i - T_q)).
-
-    Evaluated by the exact per-step recursion Z_{t_i} = Z_{t_{i-1}} * d + (new
-    jumps decayed to t_i) with d = exp(-beta * mesh); on jumpless steps the
-    decay identity holds bit-exactly, and re-running this function on the same
-    records reproduces a simulated path bit-identically.
-    """
-    n, mesh = grid.n, grid.mesh
-    decay = np.exp(-reversion * mesh)
-    z = np.zeros(n + 1)
-    if not truth:
-        return z
-    times = np.array([rec.time for rec in truth])
-    sizes = np.array([rec.size for rec in truth])
-    if np.any(np.diff(times) < 0):
-        raise ValueError("jump records must be sorted by time")
-    idx = interval_index(times, grid)
-
-    cur = 0.0
-    pos = 0
-    i = 1
-    while i <= n:
-        if pos < len(idx) and idx[pos] == i:
-            cur *= decay
-            while pos < len(idx) and idx[pos] == i:
-                cur += sizes[pos] * np.exp(-reversion * (i * mesh - times[pos]))
-                pos += 1
-            z[i] = cur
-            i += 1
-        else:
-            # jumpless run up to the next jump interval: sequential cumprod
-            # keeps the per-step decay identity exact in floating point
-            stop = idx[pos] if pos < len(idx) else n + 1
-            run = stop - i
-            seg = np.full(run, decay)
-            seg[0] = cur * decay
-            seg = np.cumprod(seg)
-            z[i : i + run] = seg
-            cur = seg[-1]
-            i = stop
-    return z
-
-
 def _draw_jumps(
     params: SpikeParams, grid: GridSpec, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One path's jumps (sorted arrival times, sizes).
 
     The single place that fixes the order in which a path's jumps are drawn
-    from the stream, shared by the single-path and the batch simulators.
+    from the stream, shared by ``simulate_spikes`` and ``simulate_spikes_batch``.
     """
     horizon = grid.horizon
     count = int(rng.poisson(params.intensity * horizon))
@@ -162,11 +119,12 @@ def simulate_spikes(
 
     The jump count is Poisson(intensity * horizon), arrival times are uniform
     order statistics on (0, horizon] and sizes are i.i.d. from the law.  Grid
-    values are computed without discretization error.
+    values are computed without discretization error, as row 0 of
+    ``spike_values_batch``.
     """
     times, sizes = _draw_jumps(params, grid, rng)
     truth = tuple(JumpRecord(float(t), float(x)) for t, x in zip(times, sizes))
-    values = spike_values_from_jumps(truth, grid, params.reversion)
+    values = spike_values_batch([(times, sizes)], grid, params.reversion)[0]
     return SampledPath(grid, values), truth
 
 
@@ -178,9 +136,10 @@ def spike_values_batch(
     Row p is built from jumps[p] = (sorted arrival times, sizes).  Every jump
     is placed in its interval at once and the per-step decay runs as one
     first-order filter along the rows, Z_{t_i} = (new jumps decayed to t_i) +
-    d * Z_{t_{i-1}}.  Rows equal ``spike_values_from_jumps`` bit for bit
-    except where two jumps share an interval: there the decayed state and the
-    new jumps are added in another order, which moves the row by a few ulps.
+    d * Z_{t_{i-1}}.  On a jumpless step the filter adds an exact 0.0, so
+    Z_{t_i} == d * Z_{t_{i-1}} bit for bit.  The per-step loop form of this
+    recursion is the test oracle: rows equal it bit for bit except where two
+    jumps share an interval, where the order of the sums moves them a few ulps.
     """
     times = np.concatenate([t for t, _ in jumps])
     sizes = np.concatenate([x for _, x in jumps])
@@ -199,8 +158,7 @@ def simulate_spikes_batch(
     """Spike-process values of ``paths`` independent paths, shape (paths, n + 1).
 
     Row p takes its jumps from ``rng`` exactly as the p-th of ``paths``
-    consecutive ``simulate_spikes`` calls would; see ``spike_values_batch``
-    for how the rows compare with theirs.
+    consecutive ``simulate_spikes`` calls would, and equals that call's path.
     """
     jumps = [_draw_jumps(params, grid, rng) for _ in range(paths)]
     return spike_values_batch(jumps, grid, params.reversion)
@@ -236,7 +194,7 @@ def _continuous_path(spec: ContinuousSpec, grid: GridSpec, rng: np.random.Genera
     if isinstance(spec, Flat):
         return SampledPath(grid, np.full(grid.n + 1, float(spec.level)))
     if isinstance(spec, TwoFactorDynamics):
-        return simulate_two_factor(spec.params, spec.curve, grid, rng)[0]
+        return SampledPath(grid, simulate_two_factor(spec.params, spec.curve, grid, rng, 1)[0])
     raise TypeError(f"unsupported continuous spec {type(spec).__name__}")
 
 
@@ -289,30 +247,24 @@ def _two_factor_states(params, grid, rng, paths: int):
     return wl, lfilter([1.0], [1.0, -a], innov, axis=1)
 
 
-def _two_factor_spot(params, curve, t, w_long, y_short) -> np.ndarray:
-    """Spot f(0,t) exp(-v(t)/2 + sigma_l W_t + sigma_s Y_t) from the factor states.
-
-    Works on one path or a batch (factor arrays of shape (n + 1,) or (paths,
-    n + 1)).
-    """
-    return curve(t) * np.exp(
-        -0.5 * params.log_variance(t) + params.sigma_l * w_long + params.sigma_s * y_short
-    )
-
-
 def simulate_two_factor(
     params: TwoFactorParams,
-    initial_curve: ForwardCurve,
+    curve: ForwardCurve,
     grid: GridSpec,
     rng: np.random.Generator,
-) -> Tuple[SampledPath, dict]:
-    """Simulate the two-factor spot Xc_t = f(0,t) exp(-v(t)/2 + sl W_t + ss Y_t).
+    paths: int,
+    antithetic: bool = False,
+) -> np.ndarray:
+    """Two-factor spots Xc_t = f(0,t) exp(-v(t)/2 + sl W_t + ss Y_t), shape (paths, n + 1).
 
     v(t) is the exact log-variance, so the spot is a martingale against the
-    initial curve.  Returns the spot path and the factor states {"w_long",
-    "y_short"}.
+    initial curve.  With ``antithetic`` the factors of the first paths / 2
+    rows are drawn and the last paths / 2 rows mirror them.
     """
-    wl, y = _two_factor_states(params, grid, rng, paths=1)
-    wl, y = wl[0], y[0]
-    values = _two_factor_spot(params, initial_curve, grid.times(), wl, y)
-    return SampledPath(grid, values), {"w_long": wl, "y_short": y}
+    if antithetic and paths % 2:
+        raise ValueError(f"antithetic simulation needs an even number of paths, got {paths}")
+    wl, ys = _two_factor_states(params, grid, rng, paths // 2 if antithetic else paths)
+    if antithetic:
+        wl, ys = np.concatenate([wl, -wl]), np.concatenate([ys, -ys])
+    t = grid.times()
+    return curve(t) * np.exp(-0.5 * params.log_variance(t) + params.sigma_l * wl + params.sigma_s * ys)

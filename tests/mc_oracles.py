@@ -5,16 +5,18 @@ its definition (Poisson number of jumps, uniform arrival times, decayed sizes)
 without going through the closed-form pricing code they are used to check;
 adaptive Simpson quadrature checks the closed-form integrals.  The strip
 payoff and multipower variation references are the plain forms the package's
-faster ones must match bit for bit.
+faster ones must match bit for bit, and the per-step loop is the oracle for
+the batched spike filter.
 """
 
 import math
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from spikelab.detect import DegeneratePathError, gaussian_abs_moment
-from spikelab.model import JumpLaw, PointMass, SignedExponentialMixture, SpikeParams
+from spikelab.model import GridSpec, JumpLaw, PointMass, SignedExponentialMixture, SpikeParams
+from spikelab.simulate import JumpRecord, interval_index
 
 
 def spike_terminal_samples(
@@ -29,6 +31,61 @@ def spike_terminal_samples(
     sizes = params.law.sample(rng, total) if total else np.empty(0)
     contrib = sizes * np.exp(-params.reversion * (horizon - times))
     return np.bincount(path_idx, weights=contrib, minlength=n_paths)
+
+
+def spike_values_from_jumps(
+    truth: Sequence[JumpRecord], grid: GridSpec, reversion: float
+) -> np.ndarray:
+    """Spike-process values Z_{t_i} = sum_{T_q <= t_i} J_q exp(-beta (t_i - T_q)).
+
+    Evaluated by the exact per-step recursion Z_{t_i} = Z_{t_{i-1}} * d + (new
+    jumps decayed to t_i) with d = exp(-beta * mesh); on jumpless steps the
+    decay identity holds bit-exactly.
+    """
+    n, mesh = grid.n, grid.mesh
+    decay = np.exp(-reversion * mesh)
+    z = np.zeros(n + 1)
+    if not truth:
+        return z
+    times = np.array([rec.time for rec in truth])
+    sizes = np.array([rec.size for rec in truth])
+    if np.any(np.diff(times) < 0):
+        raise ValueError("jump records must be sorted by time")
+    idx = interval_index(times, grid)
+
+    cur = 0.0
+    pos = 0
+    i = 1
+    while i <= n:
+        if pos < len(idx) and idx[pos] == i:
+            cur *= decay
+            while pos < len(idx) and idx[pos] == i:
+                cur += sizes[pos] * np.exp(-reversion * (i * mesh - times[pos]))
+                pos += 1
+            z[i] = cur
+            i += 1
+        else:
+            # jumpless run up to the next jump interval: sequential cumprod
+            # keeps the per-step decay identity exact in floating point
+            stop = idx[pos] if pos < len(idx) else n + 1
+            run = stop - i
+            seg = np.full(run, decay)
+            seg[0] = cur * decay
+            seg = np.cumprod(seg)
+            z[i : i + run] = seg
+            cur = seg[-1]
+            i = stop
+    return z
+
+
+def spike_values_direct_sum(times, sizes, grid: GridSpec, reversion: float) -> np.ndarray:
+    """The paper's Z_{t_i} = sum_{T_q <= t_i} J_q exp(-beta (t_i - T_q)), every term from its own exp.
+
+    Jump times must lie in (0, t_n]; t_i = i * mesh as on the grid.
+    """
+    lag = grid.times()[:, None] - np.asarray(times, dtype=float)[None, :]
+    terms = np.asarray(sizes, dtype=float) * np.exp(-reversion * np.maximum(lag, 0.0))
+    return np.where(lag >= 0.0, terms, 0.0).sum(axis=1)
 
 
 def mc_mean_with_se(samples: np.ndarray):

@@ -165,6 +165,17 @@ class TestDispatch:
         assert status == 1
         assert "spikelab:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stamps, extra, count",
+        [(["5", "5", "5"], [], 1), (["5", "5", "5"], ["--step", "1"], 1), (["5", "5", "6"], [], 2)],
+    )
+    def test_too_few_distinct_timestamps_exits_one(self, tmp_path, capsys, stamps, extra, count):
+        path = write_csv(tmp_path, [f"{t},{i}.0" for i, t in enumerate(stamps)])
+        status = dispatch(["estimate", "--in", path, "--dedup-policy", "keep-first", *extra])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err == f"spikelab: {path}: {count} distinct timestamps make a grid of fewer than 2 steps\n"
+
     def test_simulate_round_trip_values_bit_identical(self, model_config, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         assert dispatch(["simulate", "--config", model_config, "--seed", "7", "--out", str(out)]) == 0

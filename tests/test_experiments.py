@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikelab import pricing
+from spikelab import pricing, simulate
 from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig
 from spikelab.experiments import (
     PricingStudyConfig,
@@ -180,13 +180,13 @@ class TestPricingStudy:
 
     def test_one_factor_ensemble_serves_both_settings(self, monkeypatch):
         draws = []
-        factor_states = pricing._two_factor_states
+        factor_states = simulate._two_factor_states
 
         def counted(*args, **kwargs):
             draws.append(args)
             return factor_states(*args, **kwargs)
 
-        monkeypatch.setattr(pricing, "_two_factor_states", counted)
+        monkeypatch.setattr(simulate, "_two_factor_states", counted)
         run_pricing_study(self.make_config((40.0,), sims=1_100))
         assert len(draws) == 3  # batches of 512, 512 and 76 paths
 

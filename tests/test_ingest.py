@@ -74,6 +74,32 @@ class TestRejected:
         with pytest.raises(IngestError, match="cannot parse timestamp '# hourly prices'"):
             load(tmp_path, "t,price\n# hourly prices\n0,1.0\n1,2.0\n2,3.0\n")
 
+    def test_number_in_a_calendar_column(self, tmp_path):
+        rows = HOURLY[:2] + ["1451613600,3.0"]
+        with pytest.raises(IngestError, match=r"numeric timestamp '1451613600' at row 3 differs in kind from row 1"):
+            load(tmp_path, "t,price\n" + "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize(
+        "stamps, rules, count",
+        [
+            ("5,5,5", {}, 1),
+            ("5,5,5", {"expected_step": 1.0}, 1),
+            ("5,5,6", {}, 2),
+            ("6,5,5,6", {"gap_policy": GAP_FFILL1}, 2),
+        ],
+    )
+    def test_too_few_distinct_timestamps_after_dedup(self, tmp_path, stamps, rules, count):
+        text = "t,price\n" + "".join(f"{t},{i}.0\n" for i, t in enumerate(stamps.split(",")))
+        with pytest.raises(IngestError, match=f"data.csv: {count} distinct timestamps make a grid of fewer than 2 steps"):
+            load(tmp_path, text, dedup_policy=DEDUP_KEEP_FIRST, **rules)
+
+    def test_two_distinct_timestamps_filled_to_two_steps(self, tmp_path):
+        series, report = load(
+            tmp_path, "t,price\n0,1.0\n0,9.0\n2,3.0\n", dedup_policy=DEDUP_KEEP_FIRST, gap_policy=GAP_FFILL1, expected_step=1.0
+        )
+        assert np.array_equal(series.values, [1.0, 1.0, 3.0])
+        assert (report.n, report.duplicates_dropped, report.filled_timestamps) == (2, 1, (1.0,))
+
     def test_numpy_only_calendar_forms_rejected(self, tmp_path):
         # numpy reads these as dates; datetime.fromisoformat does not
         for stamp in ("now", "2016-01", "+2016-01-01", "2016-01-01T00:00:00."):
@@ -122,11 +148,11 @@ class TestAccepted:
         assert report.calendar_timestamps
         assert (report.step, report.span) == (3600.0, 3 * 3600.0)
 
+
     def test_mixed_numeric_and_calendar_column(self, tmp_path):
-        series, report = load(tmp_path, "t,price\n0,1.0\n1970-01-01T00:00:01Z,2.0\n2,3.0\n")
-        assert np.array_equal(series.values, [1.0, 2.0, 3.0])
-        assert report.calendar_timestamps
-        assert (report.step, report.span) == (1.0, 2.0)
+        # a column is read as numbers or as calendar stamps, never as both
+        with pytest.raises(IngestError, match=r"data.csv: calendar timestamp '1970-01-01T00:00:01Z' at row 2 differs"):
+            load(tmp_path, "t,price\n0,1.0\n1970-01-01T00:00:01Z,2.0\n2,3.0\n")
 
     def test_keep_first_then_forward_fill(self, tmp_path):
         text = "t,price\n0,1.0\n1,2.0\n1,99.0\n3,4.0\n4,5.0\n"

@@ -20,9 +20,10 @@ from spikelab.simulate import (
     simulate_spot,
     simulate_two_factor,
     spike_values_batch,
-    spike_values_from_jumps,
     _two_factor_states,
 )
+
+from mc_oracles import spike_values_direct_sum, spike_values_from_jumps
 
 STUDY_LAW = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
 
@@ -38,8 +39,7 @@ class TestSpikes:
     def test_single_jump_decays_exactly(self):
         grid = GridSpec(10, 1.0)
         tau, size, beta = 0.25, 2.0, 3.0
-        truth = (JumpRecord(tau, size),)
-        z = spike_values_from_jumps(truth, grid, beta)
+        z = spike_values_batch([(np.array([tau]), np.array([size]))], grid, beta)[0]
         i = interval_index(tau, grid)
         assert i == 3
         assert z[2] == 0.0
@@ -61,7 +61,8 @@ class TestSpikes:
         grid = GridSpec(5_000, 1.0)
         params = SpikeParams(25.0, 500.0, STUDY_LAW)
         path, truth = simulate_spikes(params, grid, make_rng(17))
-        again = spike_values_from_jumps(truth, grid, params.reversion)
+        jumps = (np.array([rec.time for rec in truth]), np.array([rec.size for rec in truth]))
+        again = spike_values_batch([jumps], grid, params.reversion)[0]
         assert np.array_equal(path.values, again)
 
     def test_jump_count_is_poissonian(self):
@@ -110,9 +111,12 @@ class TestSpikeBatch:
         assert np.array_equal(rng_batch.random(8), rng_single.random(8))
         assert batch.shape == (paths, n + 1)
         for row, (path, truth) in zip(batch, singles):
+            # a single path is row 0 of a batch of one, so the rows agree exactly
+            assert np.array_equal(row, path.values)
             times = np.array([rec.time for rec in truth])
             sizes = np.array([rec.size for rec in truth])
-            assert agrees_with_reference(row, path.values, times, sizes, grid)
+            reference = spike_values_from_jumps(truth, grid, params.reversion)
+            assert agrees_with_reference(row, reference, times, sizes, grid)
         if params.intensity > 100:
             assert any(shares_an_interval([rec.time for rec in truth], grid) for _, truth in singles)
 
@@ -146,6 +150,54 @@ class TestSpikeBatch:
             truth = [JumpRecord(t, x) for t, x in zip(times, sizes)]
             reference = spike_values_from_jumps(truth, grid, reversion)
             assert agrees_with_reference(row, reference, times, sizes, grid)
+
+
+def direct_sum_bound(grid, sizes):
+    """Allowed distance of a batch row from the direct sum: a few ulps of sum |J_q| per step."""
+    return 8 * (grid.n + 1) * np.spacing(np.abs(sizes).sum())
+
+
+@st.composite
+def direct_sum_case(draw):
+    """A grid, beta * mesh in [1e-4, 1e3] and up to 4 paths of jumps in (0, t_n].
+
+    Jump times fall on grid points, one ulp either side of one, anywhere,
+    or crowded into one chosen interval.
+    """
+    n = draw(st.integers(2, 40), label="n")
+    grid = GridSpec(n, draw(st.sampled_from([1.0, 0.3, 7.0]), label="horizon"))
+    reversion = 10.0 ** draw(st.floats(-4.0, 3.0), label="log10(beta mesh)") / grid.mesh
+    grid_times = grid.times()
+    last = float(grid_times[-1])
+    on_grid = st.integers(1, n).map(lambda k: float(grid_times[k]))
+    near_grid = st.tuples(on_grid, st.sampled_from([-np.inf, np.inf])).map(lambda p: float(np.nextafter(*p)))
+    k = draw(st.integers(1, n), label="crowded interval")
+    crowded = st.floats(float(grid_times[k - 1]), float(grid_times[k]), exclude_min=True)
+    anywhere = st.floats(0.0, last, exclude_min=True)
+    jump_time = st.one_of(on_grid, near_grid, anywhere, crowded, crowded).filter(lambda t: 0.0 < t <= last)
+    size = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e-3, 1e-3)).filter(lambda x: x != 0.0)
+    paths = draw(st.lists(st.lists(st.tuples(jump_time, size), max_size=8), min_size=1, max_size=4), label="paths")
+    jumps = [(np.array([t for t, _ in p], dtype=float), np.array([x for _, x in p], dtype=float)) for p in map(sorted, paths)]
+    return grid, reversion, jumps
+
+
+class TestSpikeDirectSum:
+    @settings(max_examples=300, deadline=None)
+    @given(case=direct_sum_case())
+    def test_rows_equal_the_direct_sum(self, case):
+        grid, reversion, jumps = case
+        batch = spike_values_batch(jumps, grid, reversion)
+        for row, (times, sizes) in zip(batch, jumps):
+            direct = spike_values_direct_sum(times, sizes, grid, reversion)
+            assert np.abs(row - direct).max() <= direct_sum_bound(grid, sizes)
+
+    def test_bound_is_tight_enough_to_see_a_misplaced_jump(self):
+        # a jump counted one step early is off by far more than the bound
+        grid = GridSpec(10, 1.0)
+        times, sizes = np.array([0.3]), np.array([1.0])
+        row = spike_values_batch([(times, sizes)], grid, 2.0)[0]
+        early = spike_values_direct_sum(times - grid.mesh, sizes, grid, 2.0)
+        assert np.abs(row - early).max() > 1e6 * direct_sum_bound(grid, sizes)
 
 
 class TestExpOU:
@@ -225,8 +277,8 @@ class TestTwoFactor:
         grid = GridSpec(100, 1.0)
         params = TwoFactorParams(alpha=12.56, sigma_s=1e-14, sigma_l=1e-14, rho=-0.11)
         curve = ForwardCurve.flat(40.0)
-        path, _ = simulate_two_factor(params, curve, grid, make_rng(3))
-        assert np.allclose(path.values, 40.0, rtol=1e-10)
+        spot = simulate_two_factor(params, curve, grid, make_rng(3), 1)
+        assert np.allclose(spot, 40.0, rtol=1e-10)
 
     def test_martingale_property(self):
         grid = GridSpec(50, 1.0)
@@ -253,9 +305,30 @@ class TestTwoFactor:
 
     def test_market_calibration_runs_on_hourly_grid(self):
         grid = GridSpec(8_760, 1.0)
-        path, factors = simulate_two_factor(MARKET_TF, ForwardCurve.flat(40.0), grid, make_rng(1))
-        assert np.all(path.values > 0)
-        assert factors["w_long"].shape == (grid.n + 1,)
+        spot = simulate_two_factor(MARKET_TF, ForwardCurve.flat(40.0), grid, make_rng(1), 1)
+        assert np.all(spot > 0)
+        assert spot.shape == (1, grid.n + 1)
+
+    def test_batch_rows_are_the_factor_spots(self):
+        grid = GridSpec(30, 1.0)
+        curve = ForwardCurve.flat(40.0)
+        spot = simulate_two_factor(MARKET_TF, curve, grid, make_rng(5), 6)
+        wl, ys = _two_factor_states(MARKET_TF, grid, make_rng(5), 6)
+        t = grid.times()
+        log_spot = np.log(40.0) - 0.5 * MARKET_TF.log_variance(t) + MARKET_TF.sigma_l * wl + MARKET_TF.sigma_s * ys
+        assert spot.shape == (6, grid.n + 1)
+        assert np.allclose(np.log(spot), log_spot, rtol=0, atol=1e-12)
+
+    def test_antithetic_rows_mirror_the_factors(self):
+        grid = GridSpec(30, 1.0)
+        curve = ForwardCurve.flat(40.0)
+        spot = simulate_two_factor(MARKET_TF, curve, grid, make_rng(6), 8, antithetic=True)
+        drift = 2 * np.log(40.0) - MARKET_TF.log_variance(grid.times())
+        # log S+ + log S- = 2 (log f - v/2): the Gaussian parts cancel
+        assert np.allclose(np.log(spot[:4]) + np.log(spot[4:]), drift, rtol=0, atol=1e-12)
+        assert not np.allclose(spot[:4], spot[4:])
+        with pytest.raises(ValueError, match="even number of paths"):
+            simulate_two_factor(MARKET_TF, curve, grid, make_rng(6), 7, antithetic=True)
 
 
 class TestIntervalIndex:

@@ -4,7 +4,9 @@ The modules under ``src/spikelab`` are parsed with ``ast``: ``model`` is the
 base every other module builds on and imports none of them, ``ingest`` builds
 on ``model`` alone, ``simulate`` does not reach up into ``pricing``, and no
 import runs inside a function (a lazy import is how an import cycle gets
-hidden).  ``cli`` keeps exposing the ingest names it re-exports.  The layers that
+hidden), and no module imports a ``_``-prefixed name from a sibling (a
+private name shared across modules belongs in one of them, behind a public
+function).  ``cli`` keeps exposing the ingest names it re-exports.  The layers that
 ``benchmarks/spans.py`` wraps for a traced benchmark run (``--trace 1``) must
 exist where it looks them up, so a cleanup that moves or renames one fails
 here and not only under ``python -m pytest benchmarks``.
@@ -71,6 +73,27 @@ def test_sibling_imports_are_seen():
         "cli",
         "detect",
     }
+
+
+def private_sibling_names(tree: ast.Module) -> list:
+    """``_``-prefixed names a module imports from package modules."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "spikelab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_private_sibling_imports(name):
+    assert private_sibling_names(MODULES[name]) == []
+
+
+def test_private_sibling_imports_are_seen():
+    tree = ast.parse("from __future__ import annotations\nfrom .simulate import make_rng, _states\nfrom spikelab.model import _ein")
+    assert private_sibling_names(tree) == ["_states", "_ein"]
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
