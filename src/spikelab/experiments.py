@@ -185,12 +185,14 @@ def run_pricing_study(config: PricingStudyConfig) -> List[PricingStudyRow]:
     """Price every strike in both settings from one path ensemble.
 
     Both settings (without / with spikes) share the Gaussian factors of the
-    ensemble drawn from the child stream (master_seed, 0); the spike paths are
-    drawn from the same stream after them (see ``strip_payoffs``).  Every
-    strike is priced on those same paths, so each price is exactly
-    non-increasing in the strike replication by replication, and equals
-    ``price_strip_mc`` for that strike and setting alone on that stream.
-    Payoffs are summed in exercise-time order.  The premium is the difference
+    ensemble drawn from the child stream (master_seed, 0); each batch of
+    paths takes its factors and its jumps from two child streams of it and
+    is walked along the grid in chunks, so memory is O(batch x chunk) (see
+    ``strip_payoffs``).  Every strike is priced on those same paths, so each
+    price is exactly non-increasing in the strike replication by
+    replication, and equals ``price_strip_mc`` for that strike and setting
+    alone on that stream.  Payoffs are summed in exercise-time order, so no
+    row depends on the chunk length.  The premium is the difference
     of the two prices; its stderr and CI come from the per-unit differences,
     which the common factors make far less noisy than either price.
     """

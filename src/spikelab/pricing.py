@@ -25,10 +25,12 @@ Strip options are priced under the Merton measure: the Brownian drift is
 re-centred so every forward is a martingale while the jump intensity and law
 are untouched.  Since fb(T,T) = Z_T, the spot at an exercise date is just the
 martingale two-factor value plus the simulated spike process.  The settings
-with and without spikes are priced from one shared stream: each batch draws
-its Gaussian factors, takes the no-spike payoffs, then draws its jumps and
-adds them to the same spot.  Each path's payoff is summed in exercise-time
-order, over only the dates where the spot clears the strike.
+with and without spikes are priced from one ensemble: each batch of paths
+has one child stream for its Gaussian factors and one for its jumps, and is
+walked along the grid in chunks of columns, every strike's payoffs of both
+settings accumulated chunk by chunk, so memory is O(batch x chunk) at any
+grid length.  Each path's payoff is summed in exercise-time order, the
+running sum carried into each chunk, so no price depends on the chunk length.
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import ForwardCurve, GridSpec, SpikeParams, TwoFactorParams
-from .simulate import make_rng, simulate_spikes_batch, simulate_two_factor
+from .simulate import make_rng, spot_chunks
 
 # defined in model; benchmarks/workloads.py still imports it from here
 from .model import TwoFactorDynamics  # noqa: F401
 
-# not called here since spike paths are built in batches; benchmarks/spans.py
-# still looks the name up in this module when it wraps the layers
+# not called here since spike paths are built by the chunk walk;
+# benchmarks/spans.py still looks the name up in this module when it wraps the layers
 from .simulate import simulate_spikes  # noqa: F401
 
 __all__ = [
@@ -184,14 +186,10 @@ def _exercise_columns(grid: GridSpec, times: np.ndarray) -> np.ndarray:
     return rounded
 
 
-# Paths per batch.  Each batch draws from its own child stream of the
+# Paths per batch.  Each batch draws from its own child streams of the
 # master, so this constant fixes how the master stream is partitioned (and
-# with it every seeded price) as well as the memory one batch needs.
+# with it every seeded price) as well as the columns one chunk of a walk spans.
 _BATCH = 512
-
-# Paths whose exercise values are scanned for payoffs at once: bounds the
-# mask and the index arrays to a small slice of one batch.
-_ROW_BLOCK = 64
 
 
 def strip_payoffs(
@@ -215,13 +213,14 @@ def strip_payoffs(
     or with ``antithetic`` the averages of path pairs whose Gaussian factors
     are mirrored (spikes are left alone).
 
-    Paths are simulated in batches of 512, each from its own child stream of
-    ``rng``, and every setting shares the batch's Gaussian factors: the
-    factors are drawn first and the no-spike payoffs taken, then the jumps
-    are drawn from the same stream and added.  Only the last setting may
-    therefore have spikes, and its matrix equals what it gives alone on the
-    same stream.  Column k equals what strike k gives alone; each payoff is
-    summed in exercise-time order.
+    Paths are simulated in batches of 512, each with one child stream of
+    ``rng`` for its Gaussian factors and one for its jumps.  Every setting
+    shares the batch's factors and only the last may have spikes, so each
+    matrix equals what its setting gives alone on the same stream.  A batch
+    is walked along the grid in chunks of columns (``spot_chunks``) and the
+    payoffs accumulate chunk by chunk, so memory is O(batch x chunk).  Column
+    k equals what strike k gives alone; each payoff is summed in
+    exercise-time order, whatever the chunk length.
     """
     cols = _exercise_columns(grid, _check_strip(exercise_times, num_sims))
     strikes = np.asarray(strikes, dtype=float)
@@ -235,43 +234,38 @@ def strip_payoffs(
     remaining = num_sims
     while remaining > 0:
         batch = min(_BATCH, remaining)  # even under antithetic, as _BATCH and num_sims are
-        stream = rng.spawn(1)[0]
-        spot = simulate_two_factor(two_factor, curve, grid, stream, batch, antithetic)
-        for out, spikes in zip(units, settings):
-            if spikes is not None:
-                spot += simulate_spikes_batch(spikes, grid, stream, batch)
-            pay = _strike_payoffs(spot, cols, strikes)
+        factor_rng, jump_rng = rng.spawn(2)
+        pays = [np.zeros((strikes.size, batch)) for _ in settings]
+        walk = spot_chunks(two_factor, curve, grid, factor_rng, batch, antithetic, settings[-1], jump_rng)
+        for start, spot, spike in walk:
+            for pay, spikes in zip(pays, settings):
+                _add_payoffs(pay, spot if spikes is None else spot + spike, start, cols, strikes)
+        for out, pay in zip(units, pays):
             if antithetic:
-                pay = 0.5 * (pay[: batch // 2] + pay[batch // 2 :])
-            out.append(pay)
-        del spot  # free this batch before the next one is simulated
+                pay = 0.5 * (pay[:, : batch // 2] + pay[:, batch // 2 :])
+            out.append(pay.T)
         remaining -= batch
     return [np.concatenate(out) for out in units]
 
 
-def _strike_payoffs(spot: np.ndarray, cols: np.ndarray, strikes: np.ndarray) -> np.ndarray:
-    """Strip payoffs sum_t (S_t - K)^+ over the exercise columns, shape (paths, strikes).
+def _add_payoffs(pay: np.ndarray, block: np.ndarray, start: int, cols: np.ndarray, strikes: np.ndarray):
+    """Add one chunk's payoffs (S_t - K)^+ to the running sums ``pay``, shape (strikes, paths).
 
-    Only spot values above the lowest strike can pay; they are found a block
-    of rows at a time and summed per path by ``bincount``, which adds them in
-    time order.  That is bit for bit the time-ordered sum of (S_t - K)^+ over
-    every exercise date, since adding the other terms, +0.0, is exact.
+    ``block`` holds the (paths, columns) spots of grid columns start, start +
+    1, ...; the exercise dates ``cols`` inside it are added one date at a
+    time after the running sum, so that chunk after chunk ``pay`` is bit for
+    bit the time-ordered sum over every exercise date.  A date on which no
+    spot exceeds a strike only adds zeros, which leave the sums exact, and is
+    skipped for that strike.
     """
-    steps = np.diff(cols)
-    if steps.size == 0 or np.all(steps == steps[0]):
-        # evenly spaced dates are a view, not a copy of the batch
-        cols = slice(cols[0], cols[-1] + 1, steps[0] if steps.size else 1)
-    lowest = strikes.min()
-    pay = np.empty((spot.shape[0], strikes.size))
-    for start in range(0, spot.shape[0], _ROW_BLOCK):
-        block = spot[start : start + _ROW_BLOCK, cols]
-        size = block.shape[0]
-        rows, times = np.nonzero(block > lowest)  # row-major: each path in time order
-        above = block[rows, times]
-        for k, strike in enumerate(strikes):
-            excess = np.maximum(above - strike, 0.0)
-            pay[start : start + size, k] = np.bincount(rows, weights=excess, minlength=size)
-    return pay
+    lo, hi = np.searchsorted(cols, (start, start + block.shape[1]))
+    spot = block.T[cols[lo:hi] - start]  # one row per exercise date
+    top = spot.max(axis=1)
+    for acc, strike in zip(pay, strikes):
+        excess = spot[top > strike] - strike
+        np.maximum(excess, 0.0, out=excess)
+        for terms in excess:
+            acc += terms
 
 
 def price_from_payoffs(units: np.ndarray, num_sims: int) -> PriceWithCI:

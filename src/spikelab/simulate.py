@@ -7,9 +7,15 @@ two-factor risk-neutral model uses the exact joint Gaussian recursion of
 (long factor, short OU factor).  No Euler scheme anywhere, so ensemble
 statistics carry Monte Carlo error only.
 
-Each batched leg has one engine, ``spike_values_batch`` for the spikes and
-``simulate_two_factor`` for the two-factor spot; a single path is row 0 of a
-batch of one, so ``simulate_spot`` and the strip pricer share the arithmetic.
+A batch of two-factor paths, with or without spikes, is walked along the
+grid in chunks of columns by ``spot_chunks``, which carries the factor state
+(W, Y) and the spike state Z from one chunk into the next, so a walk needs
+memory O(paths x chunk) at any grid length.  ``simulate_two_factor`` and
+``spike_values_batch`` concatenate the same blocks, so each leg has one
+engine; a single path is row 0 of a batch of one.  No value depends on the
+chunk length: the factor normals are drawn per step (the long-factor normals
+of every path, then the short-factor ones) and every running sum and filter
+continues across chunk boundaries.
 
 Reproducibility contract: replication r of an experiment derives a child
 stream from (master seed, r) through a counter-based generator (Philox), so
@@ -18,8 +24,9 @@ results are bit-identical for a fixed master seed at any parallelism degree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -35,10 +42,10 @@ __all__ = [
     "interval_index",
     "simulate_spikes",
     "spike_values_batch",
-    "simulate_spikes_batch",
     "simulate_exp_ou",
     "simulate_spot",
     "simulate_two_factor",
+    "spot_chunks",
 ]
 
 
@@ -98,7 +105,7 @@ def _draw_jumps(
     """One path's jumps (sorted arrival times, sizes).
 
     The single place that fixes the order in which a path's jumps are drawn
-    from the stream, shared by ``simulate_spikes`` and ``simulate_spikes_batch``.
+    from the stream, shared by ``simulate_spikes`` and ``spot_chunks``.
     """
     horizon = grid.horizon
     count = int(rng.poisson(params.intensity * horizon))
@@ -140,28 +147,49 @@ def spike_values_batch(
     Z_{t_i} == d * Z_{t_{i-1}} bit for bit.  The per-step loop form of this
     recursion is the test oracle: rows equal it bit for bit except where two
     jumps share an interval, where the order of the sums moves them a few ulps.
+    The values are the blocks of ``spot_chunks``' spike leg, concatenated.
+    """
+    blocks = _spike_chunks(jumps, grid, reversion, _chunk_columns(len(jumps)))
+    return np.concatenate(list(blocks), axis=1)
+
+
+# Entries (paths x columns) of one chunk of a walk: each block is 256 kB, so
+# a chunk's working set stays in cache and a walk's memory does not grow with
+# the grid.  No result depends on it (see the module docstring).
+_CHUNK_ENTRIES = 32_768
+
+
+def _chunk_columns(paths: int) -> int:
+    return max(1, _CHUNK_ENTRIES // paths)
+
+
+def _spike_chunks(
+    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float, width: int
+) -> Iterator[np.ndarray]:
+    """Spike values of a batch, one (len(jumps), width) block per chunk of grid columns.
+
+    The filter state Z is carried from one chunk into the next, so the blocks
+    are the columns of one whole-grid filter, bit for bit.
     """
     times = np.concatenate([t for t, _ in jumps])
     sizes = np.concatenate([x for _, x in jumps])
     rows = np.repeat(np.arange(len(jumps)), [t.size for t, _ in jumps])
     idx = interval_index(times, grid)
     mesh = grid.mesh
-    kicks = np.zeros((len(jumps), grid.n + 1))
-    # unbuffered, so the jumps of one interval are added in time order
-    np.add.at(kicks, (rows, idx), sizes * np.exp(-reversion * (idx * mesh - times)))
-    return lfilter([1.0], [1.0, -np.exp(-reversion * mesh)], kicks, axis=1)
-
-
-def simulate_spikes_batch(
-    params: SpikeParams, grid: GridSpec, rng: np.random.Generator, paths: int
-) -> np.ndarray:
-    """Spike-process values of ``paths`` independent paths, shape (paths, n + 1).
-
-    Row p takes its jumps from ``rng`` exactly as the p-th of ``paths``
-    consecutive ``simulate_spikes`` calls would, and equals that call's path.
-    """
-    jumps = [_draw_jumps(params, grid, rng) for _ in range(paths)]
-    return spike_values_batch(jumps, grid, params.reversion)
+    kicks_at = sizes * np.exp(-reversion * (idx * mesh - times))
+    # stable, so the jumps of one interval stay in time order
+    order = np.argsort(idx, kind="stable")
+    idx, rows, kicks_at = idx[order], rows[order], kicks_at[order]
+    decay = np.exp(-reversion * mesh)
+    state = np.zeros((len(jumps), 1))
+    for start in range(0, grid.n + 1, width):
+        stop = min(start + width, grid.n + 1)
+        lo, hi = np.searchsorted(idx, (start, stop))
+        kicks = np.zeros((len(jumps), stop - start))
+        # unbuffered, so the jumps of one interval are added in time order
+        np.add.at(kicks, (rows[lo:hi], idx[lo:hi] - start), kicks_at[lo:hi])
+        values, state = lfilter([1.0], [1.0, -decay], kicks, axis=1, zi=state)
+        yield values
 
 
 def simulate_exp_ou(
@@ -214,37 +242,91 @@ def simulate_spot(
 # ---------------------------------------------------------------------------
 
 
-def _two_factor_states(params, grid, rng, paths: int):
-    """Exact joint simulation of (W_long, Y_short) on the grid for a batch.
+def _factor_chunks(
+    params: TwoFactorParams, grid: GridSpec, rng: np.random.Generator, paths: int, width: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Exact joint simulation of (W_long, Y_short) for a batch, chunk by chunk.
 
-    Returns arrays of shape (paths, n + 1).  Per step the pair (long
+    Yields one pair of (paths, width) blocks per chunk of grid columns,
+    starting at column 0 where W = Y = 0.  Per step the pair (long
     increment, OU innovation) is Gaussian with Var1 = mesh, Var2 =
     (1 - exp(-2 alpha mesh)) / (2 alpha) and Cov = rho (1 - exp(-alpha mesh))
-    / alpha, obtained by integrating the correlated Brownian drivers.
+    / alpha, obtained by integrating the correlated Brownian drivers.  The
+    normals are drawn per step, the long-factor ones of every path first, and
+    W and Y carry into each chunk's running sum and filter, so the blocks do
+    not depend on ``width``.
     """
     alpha, rho = params.alpha, params.rho
-    mesh, n = grid.mesh, grid.n
+    mesh = grid.mesh
     a = np.exp(-alpha * mesh)
-    var1 = mesh
     var2 = -np.expm1(-2.0 * alpha * mesh) / (2.0 * alpha)
     cov = rho * (-np.expm1(-alpha * mesh)) / alpha
-    c = cov / np.sqrt(var1)
+    c = cov / np.sqrt(mesh)
     d = np.sqrt(max(var2 - c * c, 0.0))
 
-    g1 = rng.standard_normal((paths, n))
-    g2 = rng.standard_normal((paths, n))
-    # built in place behind a zero first column, which the cumulative sum
-    # and the filter carry through unchanged: two large arrays fewer at peak
-    wl = np.zeros((paths, n + 1))
-    np.multiply(g1, np.sqrt(var1), out=wl[:, 1:])
-    np.cumsum(wl, axis=1, out=wl)
-    innov = np.zeros((paths, n + 1))
-    np.multiply(g1, c, out=innov[:, 1:])
-    del g1
-    g2 *= d
-    innov[:, 1:] += g2
-    del g2
-    return wl, lfilter([1.0], [1.0, -a], innov, axis=1)
+    w_last = np.zeros(paths)
+    y_state = np.zeros((paths, 1))
+    for start in range(0, grid.n + 1, width):
+        stop = min(start + width, grid.n + 1)
+        lead = 1 if start == 0 else 0  # column 0 is the start value, not a step
+        g = rng.standard_normal((stop - start - lead, 2, paths))
+        wl = np.zeros((paths, stop - start))
+        np.multiply(g[:, 0].T, np.sqrt(mesh), out=wl[:, lead:])
+        wl[:, 0] += w_last
+        np.cumsum(wl, axis=1, out=wl)
+        innov = np.zeros((paths, stop - start))
+        np.multiply(g[:, 0].T, c, out=innov[:, lead:])
+        innov[:, lead:] += d * g[:, 1].T
+        ys, y_state = lfilter([1.0], [1.0, -a], innov, axis=1, zi=y_state)
+        w_last = wl[:, -1]
+        yield wl, ys
+
+
+def spot_chunks(
+    params: TwoFactorParams,
+    curve: ForwardCurve,
+    grid: GridSpec,
+    rng: np.random.Generator,
+    paths: int,
+    antithetic: bool = False,
+    spikes: Optional[SpikeParams] = None,
+    jump_rng: Optional[np.random.Generator] = None,
+) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
+    """Walk a batch of paths along the grid in chunks of columns.
+
+    Yields (start, spot, spike) per chunk: ``spot`` is the (paths, columns)
+    block of two-factor spots Xc_t = f(0,t) exp(-v(t)/2 + sl W_t + ss Y_t) on
+    grid columns start, start + 1, ..., and ``spike`` the matching block of
+    spike values Z_t, or None without ``spikes``.  v(t) is the exact
+    log-variance, so the spot is a martingale against the initial curve.  The
+    factors come from ``rng``; with ``antithetic`` the factors of the first
+    paths / 2 rows are drawn and the last paths / 2 rows mirror them.  The
+    jumps of all ``paths`` rows are drawn from ``jump_rng`` before the walk
+    starts, each row as one ``simulate_spikes`` call would draw them.  Every
+    block is the same at any chunk length; memory is O(paths x chunk).
+    """
+    if antithetic and paths % 2:
+        raise ValueError(f"antithetic simulation needs an even number of paths, got {paths}")
+    width = _chunk_columns(paths)
+    t = grid.times()
+    level, drift = curve(t), -0.5 * params.log_variance(t)
+    factors = _factor_chunks(params, grid, rng, paths // 2 if antithetic else paths, width)
+    if spikes is None:
+        spike_blocks = itertools.repeat(None)
+    else:
+        jumps = [_draw_jumps(spikes, grid, jump_rng) for _ in range(paths)]
+        spike_blocks = _spike_chunks(jumps, grid, spikes.reversion, width)
+    start = 0
+    for (wl, ys), spike in zip(factors, spike_blocks):
+        if antithetic:
+            wl, ys = np.concatenate([wl, -wl]), np.concatenate([ys, -ys])
+        stop = start + wl.shape[1]
+        spot = drift[start:stop] + params.sigma_l * wl
+        spot += params.sigma_s * ys
+        np.exp(spot, out=spot)
+        spot *= level[start:stop]
+        yield start, spot, spike
+        start = stop
 
 
 def simulate_two_factor(
@@ -257,14 +339,8 @@ def simulate_two_factor(
 ) -> np.ndarray:
     """Two-factor spots Xc_t = f(0,t) exp(-v(t)/2 + sl W_t + ss Y_t), shape (paths, n + 1).
 
-    v(t) is the exact log-variance, so the spot is a martingale against the
-    initial curve.  With ``antithetic`` the factors of the first paths / 2
-    rows are drawn and the last paths / 2 rows mirror them.
+    The blocks of ``spot_chunks`` without spikes, concatenated; with
+    ``antithetic`` the last paths / 2 rows mirror the factors of the first.
     """
-    if antithetic and paths % 2:
-        raise ValueError(f"antithetic simulation needs an even number of paths, got {paths}")
-    wl, ys = _two_factor_states(params, grid, rng, paths // 2 if antithetic else paths)
-    if antithetic:
-        wl, ys = np.concatenate([wl, -wl]), np.concatenate([ys, -ys])
-    t = grid.times()
-    return curve(t) * np.exp(-0.5 * params.log_variance(t) + params.sigma_l * wl + params.sigma_s * ys)
+    blocks = spot_chunks(params, curve, grid, rng, paths, antithetic)
+    return np.concatenate([spot for _, spot, _ in blocks], axis=1)

@@ -6,7 +6,8 @@ without going through the closed-form pricing code they are used to check;
 adaptive Simpson quadrature checks the closed-form integrals.  The strip
 payoff and multipower variation references are the plain forms the package's
 faster ones must match bit for bit, and the per-step loop is the oracle for
-the batched spike filter.
+the batched spike filter.  ``factor_states`` gives the whole-grid Gaussian
+factors that the statistical tests of the two-factor model check.
 """
 
 import math
@@ -15,8 +16,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from spikelab.detect import DegeneratePathError, gaussian_abs_moment
-from spikelab.model import GridSpec, JumpLaw, PointMass, SignedExponentialMixture, SpikeParams
-from spikelab.simulate import JumpRecord, interval_index
+from spikelab.model import GridSpec, JumpLaw, PointMass, SignedExponentialMixture, SpikeParams, TwoFactorParams
+from spikelab.simulate import JumpRecord, _factor_chunks, interval_index
 
 
 def spike_terminal_samples(
@@ -86,6 +87,12 @@ def spike_values_direct_sum(times, sizes, grid: GridSpec, reversion: float) -> n
     lag = grid.times()[:, None] - np.asarray(times, dtype=float)[None, :]
     terms = np.asarray(sizes, dtype=float) * np.exp(-reversion * np.maximum(lag, 0.0))
     return np.where(lag >= 0.0, terms, 0.0).sum(axis=1)
+
+
+def factor_states(params: TwoFactorParams, grid: GridSpec, rng: np.random.Generator, paths: int):
+    """(W_long, Y_short) on the whole grid, shape (paths, n + 1) each: the factor walk in one chunk."""
+    (states,) = _factor_chunks(params, grid, rng, paths, grid.n + 1)
+    return states
 
 
 def mc_mean_with_se(samples: np.ndarray):

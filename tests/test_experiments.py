@@ -179,16 +179,35 @@ class TestPricingStudy:
         assert 0.0 < row.premium_stderr < np.hypot(row.with_spikes.stderr, row.without_spikes.stderr)
 
     def test_one_factor_ensemble_serves_both_settings(self, monkeypatch):
-        draws = []
-        factor_states = simulate._two_factor_states
+        walks = []
+        factor_chunks = simulate._factor_chunks
 
-        def counted(*args, **kwargs):
-            draws.append(args)
-            return factor_states(*args, **kwargs)
+        def counted(params, grid, rng, paths, width):
+            walks.append(paths)
+            return factor_chunks(params, grid, rng, paths, width)
 
-        monkeypatch.setattr(simulate, "_two_factor_states", counted)
+        monkeypatch.setattr(simulate, "_factor_chunks", counted)
         run_pricing_study(self.make_config((40.0,), sims=1_100))
-        assert len(draws) == 3  # batches of 512, 512 and 76 paths
+        # each batch's factors are drawn once and serve both settings
+        assert walks == [512, 512, 76]
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_rows_do_not_depend_on_the_chunk_length(self, antithetic, monkeypatch):
+        # n = 100 is a multiple of none of the chunk lengths 7, 64 and 1000;
+        # 64 paths make one batch, so the chunk length is entries / 64
+        grid = GridSpec(100, 1.0)
+        config = replace(
+            self.make_config((20.0, 40.0, 80.0), sims=64),
+            grid=grid,
+            exercise_times=grid.times()[1:],
+            antithetic=antithetic,
+        )
+        rows = []
+        for length in (1, 7, 64, 1_000):
+            monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 64 * length)
+            rows.append(run_pricing_study(config))
+        assert rows[0][0].with_spikes.estimate > rows[0][0].without_spikes.estimate > 0.0
+        assert all(other == rows[0] for other in rows[1:])
 
     def test_csv_premium_ci_columns(self, tmp_path):
         rows = run_pricing_study(self.make_config((40.0,)))

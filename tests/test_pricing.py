@@ -1,6 +1,7 @@
 """Forward spike corrections and strip-option Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy import stats
 
 from spikelab.model import Empirical, GridSpec, PointMass, SignedExponentialMixture, SpikeParams
 from spikelab.pricing import (
-    _ROW_BLOCK,
     ForwardCurve,
     StripOptionSpec,
     TwoFactorParams,
@@ -18,14 +18,16 @@ from spikelab.pricing import (
     forward_spike_delivery,
     forward_spike_log,
     price_strip_mc,
+    strip_payoffs,
     two_factor_forward,
-    _strike_payoffs,
+    _add_payoffs,
 )
-from spikelab.simulate import _two_factor_states, make_rng
+from spikelab.simulate import make_rng
 
 from mc_oracles import (
     adaptive_simpson,
     exp_moment_integral_quadrature,
+    factor_states,
     mc_mean_with_se,
     spike_terminal_samples,
     strip_payoffs_time_ordered,
@@ -188,7 +190,7 @@ class TestTwoFactorForward:
         grid = GridSpec(60, 1.0)
         curve = ForwardCurve.flat(40.0)
         maturity = 1.0
-        wl, ys = _two_factor_states(MARKET_TF, grid, make_rng(8), paths=100_000)
+        wl, ys = factor_states(MARKET_TF, grid, make_rng(8), paths=100_000)
         t = grid.times()
         f0 = two_factor_forward(MARKET_TF, curve, 0.0, maturity, 0.0, 0.0)
         assert f0 == pytest.approx(40.0, rel=1e-12)
@@ -211,7 +213,7 @@ class TestTwoFactorForward:
         upward = SignedExponentialMixture((0.4, 0.6), (1 / 30, 1 / 60), (-1, 1))
         spikes = SpikeParams(35.0, 100.0, upward)
         paths = 20_000
-        wl, ys = _two_factor_states(MARKET_TF, grid, make_rng(21), paths=paths)
+        wl, ys = factor_states(MARKET_TF, grid, make_rng(21), paths=paths)
         v1 = MARKET_TF.log_variance(1.0)
         cont_terminal = 40.0 * np.exp(
             -0.5 * v1 + MARKET_TF.sigma_l * wl[:, -1] + MARKET_TF.sigma_s * ys[:, -1]
@@ -308,7 +310,7 @@ class TestStrikePayoffs:
     @given(data=st.data())
     def test_bit_identical_to_time_ordered_sum(self, data):
         strikes = data.draw(st.lists(st.floats(-50.0, 150.0), min_size=1, max_size=4), label="strikes")
-        paths = data.draw(st.integers(1, 3 * _ROW_BLOCK), label="paths")
+        paths = data.draw(st.integers(1, 100), label="paths")
         n = data.draw(st.integers(1, 120), label="n")
         step = data.draw(st.sampled_from([1, 24, None]), label="step")  # hourly, daily, irregular
         if step is None:
@@ -320,6 +322,34 @@ class TestStrikePayoffs:
         spot = rng.uniform(-100.0, 300.0, (paths, n + 1))
         at_strike = rng.random(spot.shape) < data.draw(st.floats(0.0, 0.5), label="share at a strike")
         spot[at_strike] = rng.choice(strikes, at_strike.sum())
+        # grid columns 0..n split into chunks of random lengths
+        cuts = sorted(data.draw(st.sets(st.integers(1, n), max_size=10), label="cuts"))
 
-        pay = _strike_payoffs(spot, cols, np.asarray(strikes))
-        assert pay.tobytes() == strip_payoffs_time_ordered(spot, cols, strikes).tobytes()
+        pay = np.zeros((len(strikes), paths))
+        for start, stop in zip([0] + cuts, cuts + [n + 1]):
+            _add_payoffs(pay, spot[:, start:stop].copy(), start, cols, np.asarray(strikes))
+        assert pay.T.tobytes() == strip_payoffs_time_ordered(spot, cols, strikes).tobytes()
+
+
+class TestBoundedMemory:
+    def test_quarter_hourly_strip_stays_small(self):
+        # one batch of 512 paths on a quarter-hourly year: whole-grid arrays
+        # took 549 MB here, a chunked walk needs a few MB
+        grid = GridSpec(4 * 8_760, 1.0)
+        exercise = grid.times()[1:]
+        tracemalloc.start()
+        try:
+            strip_payoffs(
+                MARKET_TF,
+                ForwardCurve.flat(40.0),
+                (None, TestStripPricing.SPIKES),
+                grid,
+                exercise,
+                (100.0, 200.0, 300.0),
+                512,
+                make_rng(0),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab import simulate
 from spikelab.model import ExpOU, Flat, GridSpec, ModelSpec, PointMass, SignedExponentialMixture, SpikeParams
 from spikelab.pricing import ForwardCurve, TwoFactorParams
 from spikelab.simulate import (
@@ -16,14 +17,13 @@ from spikelab.simulate import (
     make_rng,
     simulate_exp_ou,
     simulate_spikes,
-    simulate_spikes_batch,
     simulate_spot,
     simulate_two_factor,
     spike_values_batch,
-    _two_factor_states,
+    spot_chunks,
 )
 
-from mc_oracles import spike_values_direct_sum, spike_values_from_jumps
+from mc_oracles import factor_states, spike_values_direct_sum, spike_values_from_jumps
 
 STUDY_LAW = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
 
@@ -106,7 +106,9 @@ class TestSpikeBatch:
         grid = GridSpec(n, 1.0)
         rng_single, rng_batch = make_rng(41), make_rng(41)
         singles = [simulate_spikes(params, grid, rng_single) for _ in range(paths)]
-        batch = simulate_spikes_batch(params, grid, rng_batch, paths)
+        curve = ForwardCurve.flat(40.0)
+        walk = spot_chunks(MARKET_TF, curve, grid, make_rng(0), paths, spikes=params, jump_rng=rng_batch)
+        batch = np.concatenate([spike for _, _, spike in walk], axis=1)
         # the batch consumed the stream exactly as the single-path calls did
         assert np.array_equal(rng_batch.random(8), rng_single.random(8))
         assert batch.shape == (paths, n + 1)
@@ -283,7 +285,7 @@ class TestTwoFactor:
     def test_martingale_property(self):
         grid = GridSpec(50, 1.0)
         curve = ForwardCurve.flat(40.0)
-        wl, ys = _two_factor_states(MARKET_TF, grid, make_rng(31), paths=100_000)
+        wl, ys = factor_states(MARKET_TF, grid, make_rng(31), paths=100_000)
         t = grid.times()
         spot = 40.0 * np.exp(-0.5 * MARKET_TF.log_variance(t) + 0.25 * wl + 1.03 * ys)
         for col in (10, 25, 50):
@@ -296,7 +298,7 @@ class TestTwoFactor:
 
         grid = GridSpec(20, 1.0)
         curve = ForwardCurve.flat(1.0)
-        wl, ys = _two_factor_states(MARKET_TF, grid, make_rng(77), paths=10_000)
+        wl, ys = factor_states(MARKET_TF, grid, make_rng(77), paths=10_000)
         t = 1.0
         v = MARKET_TF.log_variance(t)
         logs = -0.5 * v + MARKET_TF.sigma_l * wl[:, -1] + MARKET_TF.sigma_s * ys[:, -1]
@@ -313,7 +315,7 @@ class TestTwoFactor:
         grid = GridSpec(30, 1.0)
         curve = ForwardCurve.flat(40.0)
         spot = simulate_two_factor(MARKET_TF, curve, grid, make_rng(5), 6)
-        wl, ys = _two_factor_states(MARKET_TF, grid, make_rng(5), 6)
+        wl, ys = factor_states(MARKET_TF, grid, make_rng(5), 6)
         t = grid.times()
         log_spot = np.log(40.0) - 0.5 * MARKET_TF.log_variance(t) + MARKET_TF.sigma_l * wl + MARKET_TF.sigma_s * ys
         assert spot.shape == (6, grid.n + 1)
@@ -329,6 +331,40 @@ class TestTwoFactor:
         assert not np.allclose(spot[:4], spot[4:])
         with pytest.raises(ValueError, match="even number of paths"):
             simulate_two_factor(MARKET_TF, curve, grid, make_rng(6), 7, antithetic=True)
+
+
+class TestChunkLength:
+    LENGTHS = (1, 7, 64, 1_000)  # n = 100 is a multiple of none but 1
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_two_factor_spots(self, antithetic, monkeypatch):
+        grid = GridSpec(100, 1.0)
+        spots = []
+        for length in self.LENGTHS:
+            monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 6 * length)
+            spots.append(simulate_two_factor(MARKET_TF, ForwardCurve.flat(40.0), grid, make_rng(3), 6, antithetic))
+        assert all(other.tobytes() == spots[0].tobytes() for other in spots[1:])
+
+    def test_spike_values(self, monkeypatch):
+        grid = GridSpec(100, 1.0)
+        params = SpikeParams(300.0, 50.0, STUDY_LAW)  # about 3 jumps per interval
+        rng = make_rng(4)
+        truths = [simulate_spikes(params, grid, rng)[1] for _ in range(5)]
+        jumps = [(np.array([r.time for r in truth]), np.array([r.size for r in truth])) for truth in truths]
+        values = []
+        for length in self.LENGTHS:
+            monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 5 * length)
+            values.append(spike_values_batch(jumps, grid, params.reversion))
+        assert all(other.tobytes() == values[0].tobytes() for other in values[1:])
+
+    def test_long_factor_follows_the_time_major_stream(self):
+        # per step the long-factor normals of every path, then the short ones
+        grid = GridSpec(30, 1.0)
+        wl, _ = factor_states(MARKET_TF, grid, make_rng(5), 6)
+        normals = make_rng(5).standard_normal((grid.n, 2, 6))
+        increments = np.sqrt(grid.mesh) * normals[:, 0]
+        assert np.array_equal(wl[:, 1:], np.cumsum(increments, axis=0).T)
+        assert np.all(wl[:, 0] == 0.0)
 
 
 class TestIntervalIndex:
