@@ -51,7 +51,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("SPIKELAB_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"SPIKELAB_THREADS must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)

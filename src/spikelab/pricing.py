@@ -31,6 +31,11 @@ walked along the grid in chunks of columns, every strike's payoffs of both
 settings accumulated chunk by chunk, so memory is O(batch x chunk) at any
 grid length.  Each path's payoff is summed in exercise-time order, the
 running sum carried into each chunk, so no price depends on the chunk length.
+While a chunk's payoffs are summed, a helper thread that lives for one walk
+draws the next chunk's factor normals (chunk 0 is drawn inline).  The factor
+stream is never used by two threads at once, so every seeded price is
+unchanged, and memory stays O(batch x chunk) plus one chunk of normals in
+flight (512 kB at 512 paths).
 """
 
 from __future__ import annotations

@@ -15,7 +15,12 @@ memory O(paths x chunk) at any grid length.  ``simulate_two_factor`` and
 engine; a single path is row 0 of a batch of one.  No value depends on the
 chunk length: the factor normals are drawn per step (the long-factor normals
 of every path, then the short-factor ones) and every running sum and filter
-continues across chunk boundaries.
+continues across chunk boundaries.  While a walk builds one chunk, a helper
+thread that lives for that walk draws the next chunk's normals (chunk 0 is
+drawn inline, so a one-chunk walk starts no thread).  The generator is never
+used by two threads at once, so every seeded value is the one a sequential
+walk gives, and memory stays O(paths x chunk) plus one chunk of normals in
+flight (512 kB at 512 paths).
 
 Reproducibility contract: replication r of an experiment derives a child
 stream from (master seed, r) through a counter-based generator (Philox), so
@@ -25,6 +30,7 @@ results are bit-identical for a fixed master seed at any parallelism degree.
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -149,6 +155,8 @@ def spike_values_batch(
     jumps share an interval, where the order of the sums moves them a few ulps.
     The values are the blocks of ``spot_chunks``' spike leg, concatenated.
     """
+    if not jumps:
+        raise ValueError("jumps must hold at least one path")
     blocks = _spike_chunks(jumps, grid, reversion, _chunk_columns(len(jumps)))
     return np.concatenate(list(blocks), axis=1)
 
@@ -255,6 +263,13 @@ def _factor_chunks(
     normals are drawn per step, the long-factor ones of every path first, and
     W and Y carry into each chunk's running sum and filter, so the blocks do
     not depend on ``width``.
+
+    Chunk 0's normals are drawn inline; each later chunk's are drawn by a
+    helper thread, which lives only as long as the walk, while this thread
+    builds the chunk before.  A draw is submitted only after the previous
+    one is taken, so ``rng`` serves one thread at a time, every normal is
+    the one a sequential walk draws, and one chunk of normals is in flight
+    besides the O(paths x width) blocks.  A failed draw is raised here.
     """
     alpha, rho = params.alpha, params.rho
     mesh = grid.mesh
@@ -266,20 +281,23 @@ def _factor_chunks(
 
     w_last = np.zeros(paths)
     y_state = np.zeros((paths, 1))
-    for start in range(0, grid.n + 1, width):
-        stop = min(start + width, grid.n + 1)
-        lead = 1 if start == 0 else 0  # column 0 is the start value, not a step
-        g = rng.standard_normal((stop - start - lead, 2, paths))
-        wl = np.zeros((paths, stop - start))
-        np.multiply(g[:, 0].T, np.sqrt(mesh), out=wl[:, lead:])
-        wl[:, 0] += w_last
-        np.cumsum(wl, axis=1, out=wl)
-        innov = np.zeros((paths, stop - start))
-        np.multiply(g[:, 0].T, c, out=innov[:, lead:])
-        innov[:, lead:] += d * g[:, 1].T
-        ys, y_state = lfilter([1.0], [1.0, -a], innov, axis=1, zi=y_state)
-        w_last = wl[:, -1]
-        yield wl, ys
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for start in range(0, grid.n + 1, width):
+            stop = min(start + width, grid.n + 1)
+            lead = 1 if start == 0 else 0  # column 0 is the start value, not a step
+            g = rng.standard_normal((stop - 1, 2, paths)) if lead else drawn.result()
+            if stop <= grid.n:
+                drawn = helper.submit(rng.standard_normal, (min(width, grid.n + 1 - stop), 2, paths))
+            wl = np.zeros((paths, stop - start))
+            np.multiply(g[:, 0].T, np.sqrt(mesh), out=wl[:, lead:])
+            wl[:, 0] += w_last
+            np.cumsum(wl, axis=1, out=wl)
+            innov = np.zeros((paths, stop - start))
+            np.multiply(g[:, 0].T, c, out=innov[:, lead:])
+            innov[:, lead:] += d * g[:, 1].T
+            ys, y_state = lfilter([1.0], [1.0, -a], innov, axis=1, zi=y_state)
+            w_last = wl[:, -1]
+            yield wl, ys
 
 
 def spot_chunks(
@@ -305,6 +323,10 @@ def spot_chunks(
     starts, each row as one ``simulate_spikes`` call would draw them.  Every
     block is the same at any chunk length; memory is O(paths x chunk).
     """
+    if paths < 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
+    if spikes is not None and jump_rng is None:
+        raise ValueError("spikes need a jump_rng to draw the jumps from")
     if antithetic and paths % 2:
         raise ValueError(f"antithetic simulation needs an even number of paths, got {paths}")
     width = _chunk_columns(paths)

@@ -94,6 +94,11 @@ class TestWorkers:
         monkeypatch.delenv("SPIKELAB_THREADS", raising=False)
         assert resolve_workers() == 1
 
+    def test_non_integer_env_variable_named(self, monkeypatch):
+        monkeypatch.setenv("SPIKELAB_THREADS", "abc")
+        with pytest.raises(ValueError, match="SPIKELAB_THREADS"):
+            resolve_workers()
+
 
 class TestPricingStudy:
     def make_config(self, strikes, sims=600, seed=4):

@@ -1,6 +1,9 @@
 """Exactness and reproducibility of the path simulators."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -365,6 +368,103 @@ class TestChunkLength:
         increments = np.sqrt(grid.mesh) * normals[:, 0]
         assert np.array_equal(wl[:, 1:], np.cumsum(increments, axis=0).T)
         assert np.all(wl[:, 0] == 0.0)
+
+
+class TestWalkInputs:
+    GRID = GridSpec(30, 1.0)
+
+    def test_two_factor_rejects_zero_paths(self):
+        with pytest.raises(ValueError, match="paths"):
+            simulate_two_factor(MARKET_TF, ForwardCurve.flat(40.0), self.GRID, make_rng(1), 0)
+
+    def test_spot_chunks_rejects_zero_paths(self):
+        with pytest.raises(ValueError, match="paths"):
+            next(spot_chunks(MARKET_TF, ForwardCurve.flat(40.0), self.GRID, make_rng(1), 0))
+
+    def test_spike_batch_rejects_no_jumps(self):
+        with pytest.raises(ValueError, match="jumps"):
+            spike_values_batch([], self.GRID, 50.0)
+
+    def test_spikes_without_jump_rng_rejected(self):
+        walk = spot_chunks(MARKET_TF, ForwardCurve.flat(40.0), self.GRID, make_rng(1), 4, spikes=SpikeParams(10.0, 50.0, STUDY_LAW))
+        with pytest.raises(ValueError, match="jump_rng"):
+            next(walk)
+
+
+class DrawFailed(RuntimeError):
+    pass
+
+
+class FailingNormals:
+    """A generator whose standard_normal raises on the given call."""
+
+    def __init__(self, rng, fail_on_call):
+        self.rng, self.fail_on_call, self.calls = rng, fail_on_call, 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        if self.calls == self.fail_on_call:
+            raise DrawFailed(f"call {self.calls}")
+        return self.rng.standard_normal(size)
+
+
+def wait_for_thread_count(count, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+class TestDrawHelper:
+    GRID = GridSpec(600, 1.0)
+
+    def test_closing_a_walk_stops_its_helper(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 4 * 3)  # 201 chunks
+        before = threading.active_count()
+        walk = spot_chunks(MARKET_TF, ForwardCurve.flat(40.0), self.GRID, make_rng(2), 4)
+        next(walk)
+        next(walk)
+        walk.close()
+        assert wait_for_thread_count(before) == before
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 4 * 3)
+        before = threading.active_count()
+        rng = FailingNormals(make_rng(2), fail_on_call=3)  # the helper's second draw
+        with pytest.raises(DrawFailed) as failure:
+            simulate_two_factor(MARKET_TF, ForwardCurve.flat(40.0), self.GRID, rng, 4)
+        assert type(failure.value) is DrawFailed
+        assert rng.calls == 3
+        assert wait_for_thread_count(before) == before
+
+    def test_concurrent_walks_match_the_one_chunk_walk(self, monkeypatch):
+        # 4 walk threads and their 4 helpers, more than the cores, switching
+        # every microsecond: a draw taken out of turn moves the stream
+        curve = ForwardCurve.flat(40.0)
+        cases = [(seed, antithetic) for seed in range(4) for antithetic in (False, True)]
+        monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 6 * (self.GRID.n + 1))
+        expected = {case: simulate_two_factor(MARKET_TF, curve, self.GRID, make_rng(case[0]), 6, case[1]) for case in cases}
+        # 2 columns a chunk (4 with antithetic), so chunk 0 draws normals too
+        monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 12)
+        results = {}
+
+        def walk(seed):
+            for antithetic in (False, True):
+                results[seed, antithetic] = simulate_two_factor(MARKET_TF, curve, self.GRID, make_rng(seed), 6, antithetic)
+
+        threads = [threading.Thread(target=walk, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == sorted(cases)
+        assert all(results[case].tobytes() == expected[case].tobytes() for case in cases)
 
 
 class TestIntervalIndex:
