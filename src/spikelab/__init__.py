@@ -31,6 +31,7 @@ from .simulate import (
     simulate_spikes,
     simulate_spot,
     simulate_two_factor,
+    spot_rows,
 )
 from .detect import (
     PLAIN,

@@ -9,6 +9,8 @@ quantile intervals.
 Replication r of pair p draws its random stream from the child key
 (master_seed, p, r), so a study is bit-reproducible for a fixed master seed
 at any parallelism degree; aggregation order is fixed by replication index.
+The paths are simulated a block at a time (``simulate.spot_rows``) and then
+estimated one by one.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .model import ContinuousSpec, ForwardCurve, GridSpec, JumpLaw, ModelSpec, S
 from .model import TwoFactorParams
 from .pricing import PriceWithCI, ci95, price_from_payoffs, strip_payoffs
 
-# not called here since every strike is priced from one ensemble;
-# benchmarks/spans.py still looks the name up in this module
+# not called here since every strike is priced from one ensemble and the
+# estimation study simulates blocks of paths; benchmarks/spans.py still looks
+# these names up in this module
 from .pricing import price_strip_mc  # noqa: F401
-from .simulate import child_seed, make_rng, simulate_spot
+from .simulate import simulate_spot  # noqa: F401
+from .simulate import child_seed, make_rng, spot_rows
 
 __all__ = [
     "StudyConfig",
@@ -47,16 +51,24 @@ __all__ = [
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else SPIKELAB_THREADS, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SPIKELAB_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"SPIKELAB_THREADS must be an integer, got {env!r}") from None
+    """Worker count: explicit argument, else SPIKELAB_THREADS, else 1.
+
+    A count below 1 raises a ValueError naming where it came from.
+    """
+    source = "workers"
+    if workers is None:
+        env = os.environ.get("SPIKELAB_THREADS")
+        if not env:
+            return 1
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"SPIKELAB_THREADS must be an integer, got {env!r}") from None
+        source = "SPIKELAB_THREADS"
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -99,37 +111,60 @@ class StudyRow:
     floored_count: int
 
 
-def _estimation_replication(config: StudyConfig, pair_idx: int, rep: int) -> Dict[str, Tuple]:
-    """One replication: simulate once, estimate under every mode."""
+def _estimation_block(config: StudyConfig, pair_idx: int, lo: int, hi: int) -> List[Dict[str, Tuple]]:
+    """Replications lo..hi-1 of one pair: simulate them in blocks, estimate each under every mode."""
     lam, beta = config.pairs[pair_idx]
-    rng = make_rng(child_seed(config.master_seed, pair_idx, rep))
     model = ModelSpec(config.continuous, SpikeParams(lam, beta, config.law))
-    sim = simulate_spot(model, config.grid, rng)
-    sigma_hat = multipower_variation(sim.observed, config.detection.mpv_order)
-    out = {}
-    for mode in config.modes:
-        report = detect_jumps(sim.observed, replace(config.detection, mode=mode), sigma_hat)
-        lam_hat, _ = estimate_lambda(report, config.grid)
-        est = estimate_beta(sim.observed, report)
-        out[mode] = (lam_hat, est.beta_hat, est.flags.undefined, est.flags.floored)
-    return out
+    rngs = (make_rng(child_seed(config.master_seed, pair_idx, rep)) for rep in range(lo, hi))
+    results = []
+    for sim in spot_rows(model, config.grid, rngs):
+        sigma_hat = multipower_variation(sim.observed, config.detection.mpv_order)
+        out = {}
+        for mode in config.modes:
+            report = detect_jumps(sim.observed, replace(config.detection, mode=mode), sigma_hat)
+            lam_hat, _ = estimate_lambda(report, config.grid)
+            est = estimate_beta(sim.observed, report)
+            out[mode] = (lam_hat, est.beta_hat, est.flags.undefined, est.flags.floored)
+        results.append(out)
+    return results
 
 
-def _replication_star(args):
-    return _estimation_replication(*args)
+def _block_star(args):
+    return _estimation_block(*args)
 
 
 def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> List[StudyRow]:
-    """Run the ensemble for every pair and mode; deterministic per master seed."""
+    """Run the ensemble for every pair and mode; deterministic per master seed.
+
+    Replication r of pair p simulates one path from the generator of child
+    key (master_seed, p, r), whose two child streams (p, r, 0) and (p, r, 1)
+    give the continuous leg and the jumps, exactly as ``simulate_spot`` on
+    that generator.  Each pair's replications are split into ``workers``
+    contiguous ranges, mapped over one process pool (or run in this process
+    for one worker).  A range is simulated in blocks of paths by
+    ``simulate.spot_rows``: for an exp-OU leg, two rows of n + 1 values a
+    path in one buffer of at most 2^21 entries (16 MB, about 100 paths at
+    n = 10^4), reused from block to block; detection and estimation then run
+    path by path.  Rows depend on neither the block nor the worker count.
+    """
     workers = resolve_workers(workers)
+    reps = config.replications
+    bounds = [reps * k // workers for k in range(workers + 1)]
+    tasks = [
+        (config, pair_idx, lo, hi)
+        for pair_idx in range(len(config.pairs))
+        for lo, hi in zip(bounds, bounds[1:])
+        if lo < hi
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_block_star, tasks))
+    else:
+        blocks = [_estimation_block(*task) for task in tasks]
+    replications = [result for block in blocks for result in block]
     rows: List[StudyRow] = []
     for pair_idx, (lam, beta) in enumerate(config.pairs):
-        tasks = [(config, pair_idx, rep) for rep in range(config.replications)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_replication_star, tasks, chunksize=16))
-        else:
-            results = [_estimation_replication(*t) for t in tasks]
+        results = replications[pair_idx * reps : (pair_idx + 1) * reps]
         for mode in config.modes:
             lam_hats = np.array([r[mode][0] for r in results])
             beta_hats = np.array([r[mode][1] for r in results])

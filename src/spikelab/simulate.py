@@ -7,20 +7,42 @@ two-factor risk-neutral model uses the exact joint Gaussian recursion of
 (long factor, short OU factor).  No Euler scheme anywhere, so ensemble
 statistics carry Monte Carlo error only.
 
+All three legs are one first-order recursion, y_t = x_t + c * y_{t-1}: the
+log exp-OU part, the spike filter Z and the short factor Y.  ``_recurse``
+runs it in place down a time-major (steps, lanes) block, one lane per path
+and leg, and returns the state to carry into the next block.  Its IEEE
+operations are those of ``scipy.signal.lfilter([1], [1, -c])``, so every
+value equals that filter bit for bit, signed zeros included (the test suite
+checks this); the package imports no scipy module but ``scipy.special``.  A
+block of fewer than ``_WIDE_LANES`` lanes loops over each lane in Python
+floats; a wider one loops over the steps with two numpy calls a step across
+all lanes.  On a 2-vCPU host a float step costs 0.12-0.14 us a lane and a
+numpy step about 2 us at any width up to a few hundred lanes, so a single
+path pays about 0.13 us per step and leg (lfilter paid about 0.01 us), and
+ensembles should go through the batched entry points: ``spot_rows``,
+``simulate_two_factor``, ``spike_values_batch`` and the studies.
+
+``spot_rows`` simulates X = Xc + Z for a sequence of generators, a block of
+paths at a time: the exp-OU log shocks and the spike kicks of a block fill
+the rows of one buffer, reused from block to block, and one recursion runs
+over all of them.  ``simulate_spot`` is its row 0.
+
 A batch of two-factor paths, with or without spikes, is walked along the
 grid in chunks of columns by ``spot_chunks``, which carries the factor state
 (W, Y) and the spike state Z from one chunk into the next, so a walk needs
-memory O(paths x chunk) at any grid length.  ``simulate_two_factor`` and
+memory O(paths x chunk) at any grid length.  The chunks are built
+time-major, so the recursion runs across all paths of a step at once, and
+are handed out as (paths, columns) views.  ``simulate_two_factor`` and
 ``spike_values_batch`` concatenate the same blocks, so each leg has one
 engine; a single path is row 0 of a batch of one.  No value depends on the
 chunk length: the factor normals are drawn per step (the long-factor normals
-of every path, then the short-factor ones) and every running sum and filter
-continues across chunk boundaries.  While a walk builds one chunk, a helper
-thread that lives for that walk draws the next chunk's normals (chunk 0 is
-drawn inline, so a one-chunk walk starts no thread).  The generator is never
-used by two threads at once, so every seeded value is the one a sequential
-walk gives, and memory stays O(paths x chunk) plus one chunk of normals in
-flight (512 kB at 512 paths).
+of every path, then the short-factor ones) and every running sum and
+recursion continues across chunk boundaries.  While a walk builds one chunk,
+a helper thread that lives for that walk draws the next chunk's normals
+(chunk 0 is drawn inline, so a one-chunk walk starts no thread).  The
+generator is never used by two threads at once, so every seeded value is
+the one a sequential walk gives, and memory stays O(paths x chunk) plus one
+chunk of normals in flight (512 kB at 512 paths).
 
 Reproducibility contract: replication r of an experiment derives a child
 stream from (master seed, r) through a counter-based generator (Philox), so
@@ -30,12 +52,12 @@ results are bit-identical for a fixed master seed at any parallelism degree.
 from __future__ import annotations
 
 import itertools
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import ContinuousSpec, ExpOU, Flat, ForwardCurve, GridSpec, ModelSpec, SampledPath
 from .model import SpikeParams, TwoFactorDynamics, TwoFactorParams
@@ -50,6 +72,7 @@ __all__ = [
     "spike_values_batch",
     "simulate_exp_ou",
     "simulate_spot",
+    "spot_rows",
     "simulate_two_factor",
     "spot_chunks",
 ]
@@ -148,17 +171,18 @@ def spike_values_batch(
 
     Row p is built from jumps[p] = (sorted arrival times, sizes).  Every jump
     is placed in its interval at once and the per-step decay runs as one
-    first-order filter along the rows, Z_{t_i} = (new jumps decayed to t_i) +
-    d * Z_{t_{i-1}}.  On a jumpless step the filter adds an exact 0.0, so
-    Z_{t_i} == d * Z_{t_{i-1}} bit for bit.  The per-step loop form of this
-    recursion is the test oracle: rows equal it bit for bit except where two
-    jumps share an interval, where the order of the sums moves them a few ulps.
-    The values are the blocks of ``spot_chunks``' spike leg, concatenated.
+    first-order recursion down the grid, Z_{t_i} = (new jumps decayed to t_i)
+    + d * Z_{t_{i-1}}.  On a jumpless step the recursion adds an exact 0.0,
+    so Z_{t_i} == d * Z_{t_{i-1}} bit for bit.  The per-step loop form of
+    this recursion is the test oracle: rows equal it bit for bit except where
+    two jumps share an interval, where the order of the sums moves them a few
+    ulps.  The values are the blocks of ``spot_chunks``' spike leg,
+    concatenated.
     """
     if not jumps:
         raise ValueError("jumps must hold at least one path")
     blocks = _spike_chunks(jumps, grid, reversion, _chunk_columns(len(jumps)))
-    return np.concatenate(list(blocks), axis=1)
+    return np.concatenate(list(blocks)).T
 
 
 # Entries (paths x columns) of one chunk of a walk: each block is 256 kB, so
@@ -166,38 +190,124 @@ def spike_values_batch(
 # the grid.  No result depends on it (see the module docstring).
 _CHUNK_ENTRIES = 32_768
 
+# Lanes from which _recurse loops over steps in numpy rows rather than over
+# lanes in Python floats: on a 2-vCPU host a numpy step costs about 2 us at
+# any width up to a few hundred lanes, a float step about 0.13 us a lane, and
+# they cross near 16 lanes.
+_WIDE_LANES = 16
+
+# Entries (lanes x columns) of the buffer that ``spot_rows`` fills with one
+# block of paths: 16 MB, allocated once per call and reused from block to
+# block.  The more lanes a block, the less each path pays for the numpy
+# steps of the recursion.  No value depends on it.
+_BLOCK_ENTRIES = 1 << 21
+
 
 def _chunk_columns(paths: int) -> int:
     return max(1, _CHUNK_ENTRIES // paths)
 
 
-def _spike_chunks(
-    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float, width: int
-) -> Iterator[np.ndarray]:
-    """Spike values of a batch, one (len(jumps), width) block per chunk of grid columns.
+def _recurse(block: np.ndarray, state, coef) -> np.ndarray:
+    """Run y_t = x_t + coef * y_{t-1} down the time-major block (steps, lanes), in place.
 
-    The filter state Z is carried from one chunk into the next, so the blocks
-    are the columns of one whole-grid filter, bit for bit.
+    Row 0 becomes x_0 + ``state``; the returned state x_last * 0.0 + coef *
+    y_last carries the recursion into the next block, so a block split at
+    any row gives the same values.  These are the IEEE operations of
+    ``lfilter([1], [1, -coef], block, axis=0, zi=state)`` and its final
+    state, bit for bit, signed zeros included: lfilter adds x_{t-1} * 0.0 to
+    every carried term, which moves only the sign of a zero sum, and adding
+    that signed zero to x_t first gives the same sums.  ``coef`` and
+    ``state`` are scalars or one value per lane.  A block of fewer than
+    ``_WIDE_LANES`` lanes loops over each lane in Python floats, a wider one
+    over its steps with two numpy calls a step across all lanes.
+    """
+    tail = block[-1] * 0.0
+    block[1:] += block[:-1] * 0.0
+    block[0] += state
+    if block.shape[1] < _WIDE_LANES:
+        for lane, c in zip(block.T, np.broadcast_to(coef, block.shape[1:]).tolist()):
+            steps = iter(memoryview(lane))
+            y = next(steps)
+            lane[1:] = np.frombuffer(array("d", [y := x + c * y for x in steps]))
+    else:
+        carry = block[0] * coef
+        for row in block[1:]:
+            row += carry
+            np.multiply(row, coef, out=carry)
+    return tail + coef * block[-1]
+
+
+def _recurse_rows(rows: np.ndarray, state, coef) -> None:
+    """``_recurse`` along the rows of a lane-major (lanes, steps) array, in place.
+
+    Each chunk of columns is copied to a time-major block, run and copied
+    back, so both transposes stay in cache; the carried state makes the
+    chunks one recursion.
+    """
+    width = _chunk_columns(len(rows))
+    for start in range(0, rows.shape[1], width):
+        block = rows[:, start : start + width].T.copy()
+        state = _recurse(block, state, coef)
+        rows[:, start : start + width] = block.T
+
+
+def _kicks(
+    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every jump of a batch as (interval index, path, size decayed to the interval's end).
+
+    Sorted by interval, stably, so the jumps of one interval stay in time
+    order and ``np.add.at`` adds them in that order.
     """
     times = np.concatenate([t for t, _ in jumps])
     sizes = np.concatenate([x for _, x in jumps])
-    rows = np.repeat(np.arange(len(jumps)), [t.size for t, _ in jumps])
+    paths = np.repeat(np.arange(len(jumps)), [t.size for t, _ in jumps])
     idx = interval_index(times, grid)
-    mesh = grid.mesh
-    kicks_at = sizes * np.exp(-reversion * (idx * mesh - times))
-    # stable, so the jumps of one interval stay in time order
+    kicks_at = sizes * np.exp(-reversion * (idx * grid.mesh - times))
     order = np.argsort(idx, kind="stable")
-    idx, rows, kicks_at = idx[order], rows[order], kicks_at[order]
-    decay = np.exp(-reversion * mesh)
-    state = np.zeros((len(jumps), 1))
+    return idx[order], paths[order], kicks_at[order]
+
+
+def _spike_chunks(
+    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float, width: int
+) -> Iterator[np.ndarray]:
+    """Spike values of a batch, one time-major (width, len(jumps)) block per chunk of grid columns.
+
+    The recursion state Z is carried from one chunk into the next, so the
+    blocks are the rows of one whole-grid recursion, bit for bit.
+    """
+    idx, paths, kicks_at = _kicks(jumps, grid, reversion)
+    decay = np.exp(-reversion * grid.mesh)
+    state = 0.0
     for start in range(0, grid.n + 1, width):
         stop = min(start + width, grid.n + 1)
         lo, hi = np.searchsorted(idx, (start, stop))
-        kicks = np.zeros((len(jumps), stop - start))
-        # unbuffered, so the jumps of one interval are added in time order
-        np.add.at(kicks, (rows[lo:hi], idx[lo:hi] - start), kicks_at[lo:hi])
-        values, state = lfilter([1.0], [1.0, -decay], kicks, axis=1, zi=state)
-        yield values
+        kicks = np.zeros((stop - start, len(jumps)))
+        np.add.at(kicks, (idx[lo:hi] - start, paths[lo:hi]), kicks_at[lo:hi])
+        state = _recurse(kicks, state, decay)
+        yield kicks
+
+
+def _log_ar1(spec: ExpOU, grid: GridSpec, rngs: Sequence[np.random.Generator], rows: np.ndarray):
+    """Fill rows (len(rngs), n + 1) with the inputs of the log exp-OU recursion; return (a, a Y_0).
+
+    Column 0 gets Y_0 = log(initial) and columns 1..n the shocks s G_i (see
+    ``simulate_exp_ou``), the normals drawn from one generator per row; the
+    recursion over columns 1..n starts from the state a Y_0.
+    """
+    kappa, vol = spec.reversion, spec.vol
+    mesh = grid.mesh
+    if kappa == 0.0:
+        a, step_var = 1.0, vol * vol * mesh
+    else:
+        a = np.exp(-kappa * mesh)
+        step_var = vol * vol * (-np.expm1(-2.0 * kappa * mesh)) / (2.0 * kappa)
+    y0 = np.log(spec.initial)
+    rows[:, 0] = y0
+    for row, rng in zip(rows, rngs):
+        rng.standard_normal(grid.n, out=row[1:])
+    rows[:, 1:] *= np.sqrt(step_var)
+    return a, a * y0
 
 
 def simulate_exp_ou(
@@ -207,26 +317,16 @@ def simulate_exp_ou(
 
     log X is Gaussian AR(1): Y_{i} = a Y_{i-1} + s G_i with a = exp(-kappa *
     mesh) and s^2 = vol^2 (1 - a^2) / (2 kappa) (s^2 = vol^2 * mesh in the
-    kappa -> 0 limit).
+    kappa -> 0 limit).  The normals come from ``rng``; the path is one lane
+    of the recursion that ``spot_rows`` runs for a block of exp-OU paths.
     """
-    kappa, vol = spec.reversion, spec.vol
-    mesh = grid.mesh
-    if kappa == 0.0:
-        a, step_var = 1.0, vol * vol * mesh
-    else:
-        a = np.exp(-kappa * mesh)
-        step_var = vol * vol * (-np.expm1(-2.0 * kappa * mesh)) / (2.0 * kappa)
-    s = np.sqrt(step_var)
-    y0 = np.log(spec.initial)
-    shocks = s * rng.standard_normal(grid.n)
-    y, _ = lfilter([1.0], [1.0, -a], shocks, zi=[a * y0])
-    values = np.exp(np.concatenate([[y0], y]))
-    return SampledPath(grid, values)
+    logs = np.empty((1, grid.n + 1))
+    a, state = _log_ar1(spec, grid, [rng], logs)
+    _recurse_rows(logs[:, 1:], state, a)
+    return SampledPath(grid, np.exp(logs[0]))
 
 
 def _continuous_path(spec: ContinuousSpec, grid: GridSpec, rng: np.random.Generator) -> SampledPath:
-    if isinstance(spec, ExpOU):
-        return simulate_exp_ou(spec, grid, rng)
     if isinstance(spec, Flat):
         return SampledPath(grid, np.full(grid.n + 1, float(spec.level)))
     if isinstance(spec, TwoFactorDynamics):
@@ -234,15 +334,59 @@ def _continuous_path(spec: ContinuousSpec, grid: GridSpec, rng: np.random.Genera
     raise TypeError(f"unsupported continuous spec {type(spec).__name__}")
 
 
+def spot_rows(
+    model: ModelSpec, grid: GridSpec, rngs: Iterable[np.random.Generator]
+) -> Iterator[SimulatedPath]:
+    """Simulate X = Xc + Z once per generator in ``rngs``, a block of paths at a time.
+
+    Path r spawns two child streams of rngs[r], as ``simulate_spot`` does:
+    the continuous leg draws from the first and the jumps from the second,
+    so each path is the one ``simulate_spot`` gives on that generator, bit
+    for bit, whatever the block.  Per block, the spike kicks of every path
+    and, for an exp-OU leg, its log shocks fill the rows of one buffer of at
+    most ``_BLOCK_ENTRIES`` entries (two rows a path, 16 MB), reused from
+    block to block, and one recursion runs over all of them.  A flat or
+    two-factor leg is simulated path by path.  Yielded paths own their
+    values.
+    """
+    exp_ou = model.continuous if isinstance(model.continuous, ExpOU) else None
+    legs = 1 if exp_ou is None else 2
+    spikes = model.spikes
+    decay = np.exp(-spikes.reversion * grid.mesh)
+    rngs = iter(rngs)
+    per_block = max(1, _BLOCK_ENTRIES // (legs * (grid.n + 1)))
+    buffer = np.empty(0)
+    while streams := [rng.spawn(2) for rng in itertools.islice(rngs, per_block)]:
+        paths = len(streams)
+        size = legs * paths * (grid.n + 1)
+        if buffer.size < size:
+            buffer = np.empty(size)
+        rows = buffer[:size].reshape(legs * paths, grid.n + 1)
+        coef, state = np.full(len(rows), decay), np.zeros(len(rows))
+        if exp_ou is not None:
+            coef[:paths], state[:paths] = _log_ar1(exp_ou, grid, [cont for cont, _ in streams], rows[:paths])
+        jumps = [_draw_jumps(spikes, grid, jump_rng) for _, jump_rng in streams]
+        idx, path, kicks_at = _kicks(jumps, grid, spikes.reversion)
+        spike_rows = rows[-paths:]
+        spike_rows[:] = 0.0
+        np.add.at(spike_rows, (path, idx), kicks_at)
+        _recurse_rows(rows[:, 1:], state, coef)
+        for r, (cont_rng, _) in enumerate(streams):
+            if exp_ou is None:
+                continuous = _continuous_path(model.continuous, grid, cont_rng)
+            else:
+                continuous = SampledPath(grid, np.exp(rows[r]))
+            spike = SampledPath(grid, spike_rows[r].copy())
+            truth = tuple(JumpRecord(float(t), float(x)) for t, x in zip(*jumps[r]))
+            observed = SampledPath(grid, continuous.values + spike.values)
+            yield SimulatedPath(observed=observed, continuous=continuous, spike=spike, truth=truth)
+
+
 def simulate_spot(
     model: ModelSpec, grid: GridSpec, rng: np.random.Generator
 ) -> SimulatedPath:
-    """Simulate X = Xc + Z with independent streams for the two components."""
-    rng_cont, rng_jump = rng.spawn(2)
-    continuous = _continuous_path(model.continuous, grid, rng_cont)
-    spike, truth = simulate_spikes(model.spikes, grid, rng_jump)
-    observed = SampledPath(grid, continuous.values + spike.values)
-    return SimulatedPath(observed=observed, continuous=continuous, spike=spike, truth=truth)
+    """Simulate X = Xc + Z with independent streams for the two components: row 0 of ``spot_rows``."""
+    return next(spot_rows(model, grid, (rng,)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +399,15 @@ def _factor_chunks(
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Exact joint simulation of (W_long, Y_short) for a batch, chunk by chunk.
 
-    Yields one pair of (paths, width) blocks per chunk of grid columns,
-    starting at column 0 where W = Y = 0.  Per step the pair (long
+    Yields one pair of time-major (width, paths) blocks per chunk of grid
+    columns, starting at column 0 where W = Y = 0.  Per step the pair (long
     increment, OU innovation) is Gaussian with Var1 = mesh, Var2 =
     (1 - exp(-2 alpha mesh)) / (2 alpha) and Cov = rho (1 - exp(-alpha mesh))
     / alpha, obtained by integrating the correlated Brownian drivers.  The
     normals are drawn per step, the long-factor ones of every path first, and
-    W and Y carry into each chunk's running sum and filter, so the blocks do
-    not depend on ``width``.
+    W and Y carry into each chunk's running sum and recursion, so the blocks do
+    not depend on ``width``.  Y is the recursion Y_t = innovation + a Y_{t-1}
+    across all paths of a step at once, a = exp(-alpha mesh).
 
     Chunk 0's normals are drawn inline; each later chunk's are drawn by a
     helper thread, which lives only as long as the walk, while this thread
@@ -279,8 +424,7 @@ def _factor_chunks(
     c = cov / np.sqrt(mesh)
     d = np.sqrt(max(var2 - c * c, 0.0))
 
-    w_last = np.zeros(paths)
-    y_state = np.zeros((paths, 1))
+    w_last = y_state = 0.0
     with ThreadPoolExecutor(max_workers=1) as helper:
         for start in range(0, grid.n + 1, width):
             stop = min(start + width, grid.n + 1)
@@ -288,15 +432,15 @@ def _factor_chunks(
             g = rng.standard_normal((stop - 1, 2, paths)) if lead else drawn.result()
             if stop <= grid.n:
                 drawn = helper.submit(rng.standard_normal, (min(width, grid.n + 1 - stop), 2, paths))
-            wl = np.zeros((paths, stop - start))
-            np.multiply(g[:, 0].T, np.sqrt(mesh), out=wl[:, lead:])
-            wl[:, 0] += w_last
-            np.cumsum(wl, axis=1, out=wl)
-            innov = np.zeros((paths, stop - start))
-            np.multiply(g[:, 0].T, c, out=innov[:, lead:])
-            innov[:, lead:] += d * g[:, 1].T
-            ys, y_state = lfilter([1.0], [1.0, -a], innov, axis=1, zi=y_state)
-            w_last = wl[:, -1]
+            wl = np.zeros((stop - start, paths))
+            np.multiply(g[:, 0], np.sqrt(mesh), out=wl[lead:])
+            wl[0] += w_last
+            np.cumsum(wl, axis=0, out=wl)
+            ys = np.zeros((stop - start, paths))
+            np.multiply(g[:, 0], c, out=ys[lead:])
+            ys[lead:] += d * g[:, 1]
+            y_state = _recurse(ys, y_state, a)
+            w_last = wl[-1]
             yield wl, ys
 
 
@@ -321,7 +465,10 @@ def spot_chunks(
     paths / 2 rows are drawn and the last paths / 2 rows mirror them.  The
     jumps of all ``paths`` rows are drawn from ``jump_rng`` before the walk
     starts, each row as one ``simulate_spikes`` call would draw them.  Every
-    block is the same at any chunk length; memory is O(paths x chunk).
+    block is the same at any chunk length; memory is O(paths x chunk).  The
+    blocks are computed time-major and yielded as their (paths, columns)
+    transposes, so the rows of ``spot.T`` (one per grid column) are
+    contiguous.
     """
     if paths < 1:
         raise ValueError(f"paths must be at least 1, got {paths}")
@@ -341,13 +488,13 @@ def spot_chunks(
     start = 0
     for (wl, ys), spike in zip(factors, spike_blocks):
         if antithetic:
-            wl, ys = np.concatenate([wl, -wl]), np.concatenate([ys, -ys])
-        stop = start + wl.shape[1]
-        spot = drift[start:stop] + params.sigma_l * wl
+            wl, ys = np.concatenate([wl, -wl], axis=1), np.concatenate([ys, -ys], axis=1)
+        stop = start + len(wl)
+        spot = drift[start:stop, None] + params.sigma_l * wl
         spot += params.sigma_s * ys
         np.exp(spot, out=spot)
-        spot *= level[start:stop]
-        yield start, spot, spike
+        spot *= level[start:stop, None]
+        yield start, spot.T, None if spike is None else spike.T
         start = stop
 
 

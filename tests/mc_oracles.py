@@ -8,12 +8,15 @@ payoff and multipower variation references are the plain forms the package's
 faster ones must match bit for bit, and the per-step loop is the oracle for
 the batched spike filter.  ``factor_states`` gives the whole-grid Gaussian
 factors that the statistical tests of the two-factor model check.
+``lfilter_recursion`` is the scipy form of the package's first-order
+recursion, which must match it bit for bit.
 """
 
 import math
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+from scipy.signal import lfilter
 
 from spikelab.detect import DegeneratePathError, gaussian_abs_moment
 from spikelab.model import GridSpec, JumpLaw, PointMass, SignedExponentialMixture, SpikeParams, TwoFactorParams
@@ -91,8 +94,22 @@ def spike_values_direct_sum(times, sizes, grid: GridSpec, reversion: float) -> n
 
 def factor_states(params: TwoFactorParams, grid: GridSpec, rng: np.random.Generator, paths: int):
     """(W_long, Y_short) on the whole grid, shape (paths, n + 1) each: the factor walk in one chunk."""
-    (states,) = _factor_chunks(params, grid, rng, paths, grid.n + 1)
-    return states
+    ((wl, ys),) = _factor_chunks(params, grid, rng, paths, grid.n + 1)
+    return wl.T, ys.T
+
+
+def lfilter_recursion(block: np.ndarray, state: np.ndarray, coef: np.ndarray):
+    """y_t = x_t + coef * y_{t-1} down axis 0 of a (steps, lanes) block by ``scipy.signal.lfilter``.
+
+    Lane j runs lfilter([1], [1, -coef[j]]) from the initial state state[j];
+    returns the filtered block and the final state of every lane.
+    """
+    values = np.empty_like(block)
+    final = np.empty(block.shape[1])
+    for j in range(block.shape[1]):
+        values[:, j], zf = lfilter([1.0], [1.0, -coef[j]], block[:, j], zi=[state[j]])
+        final[j] = zf[0]
+    return values, final
 
 
 def mc_mean_with_se(samples: np.ndarray):

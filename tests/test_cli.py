@@ -160,6 +160,17 @@ class TestDispatch:
             dispatch(["estimate", "--nonsense"])
         assert info.value.code == 2
 
+    def test_study_workers_below_one_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text(MODEL_CFG + "study.pairs = 10:200\n")
+        status = dispatch(
+            ["study-estimation", "--config", str(cfg_path), "--reps", "2", "--workers", "0", "--out", str(tmp_path / "out")]
+        )
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err == "spikelab: workers must be at least 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_one(self, capsys):
         status = dispatch(["estimate", "--in", "does-not-exist.csv"])
         assert status == 1

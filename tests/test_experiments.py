@@ -1,12 +1,13 @@
 """Study harness: determinism, aggregation and output formats."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spikelab import pricing, simulate
+from spikelab import experiments, pricing, simulate
 from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig
 from spikelab.experiments import (
     PricingStudyConfig,
@@ -98,6 +99,30 @@ class TestWorkers:
         monkeypatch.setenv("SPIKELAB_THREADS", "abc")
         with pytest.raises(ValueError, match="SPIKELAB_THREADS"):
             resolve_workers()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_argument_below_one_rejected(self, workers, monkeypatch):
+        monkeypatch.setenv("SPIKELAB_THREADS", "2")
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+            resolve_workers(workers)
+
+    def test_env_variable_below_one_rejected(self, monkeypatch):
+        monkeypatch.setenv("SPIKELAB_THREADS", "0")
+        with pytest.raises(ValueError, match="^SPIKELAB_THREADS must be at least 1, got 0$"):
+            resolve_workers()
+
+    def test_one_pool_per_study(self, monkeypatch):
+        pools = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+        config = small_study(reps=4, pairs=((10.0, 200.0), (10.0, 2_000.0)))
+        assert run_estimation_study(config, workers=2) == run_estimation_study(config, workers=1)
+        assert pools == [2]
 
 
 class TestPricingStudy:

@@ -4,14 +4,17 @@ import math
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikelab import simulate
 from spikelab.model import ExpOU, Flat, GridSpec, ModelSpec, PointMass, SignedExponentialMixture, SpikeParams
+from spikelab.model import TwoFactorDynamics
 from spikelab.pricing import ForwardCurve, TwoFactorParams
 from spikelab.simulate import (
     JumpRecord,
@@ -24,9 +27,10 @@ from spikelab.simulate import (
     simulate_two_factor,
     spike_values_batch,
     spot_chunks,
+    spot_rows,
 )
 
-from mc_oracles import factor_states, spike_values_direct_sum, spike_values_from_jumps
+from mc_oracles import factor_states, lfilter_recursion, spike_values_direct_sum, spike_values_from_jumps
 
 STUDY_LAW = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
 
@@ -205,6 +209,78 @@ class TestSpikeDirectSum:
         assert np.abs(row - early).max() > 1e6 * direct_sum_bound(grid, sizes)
 
 
+def run_recursion(block, state, coef, wide_lanes):
+    """``simulate._recurse`` on a copy of block, with lanes from wide_lanes up taking the numpy loop."""
+    out = block.copy()
+    with mock.patch.object(simulate, "_WIDE_LANES", wide_lanes):
+        final = simulate._recurse(out, state.copy(), coef)
+    return out, final
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+# the market model's short-factor coefficient on the hourly grid
+HOURLY_ALPHA_COEF = math.exp(-12.56 / 8_760)
+RECURSION_INPUTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+RECURSION_COEFS = st.one_of(
+    st.sampled_from([1.0, HOURLY_ALPHA_COEF, math.exp(-2.4), 0.0]),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+class TestRecurse:
+    """The first-order recursion against scipy's lfilter, bit for bit and in both loops."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_both_loops_equal_lfilter_bit_for_bit(self, data):
+        lanes = data.draw(st.integers(1, simulate._WIDE_LANES + 2), label="lanes")
+        steps = data.draw(st.integers(1, 300), label="steps")
+        coef = data.draw(hnp.arrays(np.float64, lanes, elements=RECURSION_COEFS), label="coef")
+        state = data.draw(hnp.arrays(np.float64, lanes, elements=RECURSION_INPUTS), label="state")
+        block = data.draw(hnp.arrays(np.float64, (steps, lanes), elements=RECURSION_INPUTS, fill=st.nothing()), label="x")
+        expected, expected_final = lfilter_recursion(block, state, coef)
+        for wide_lanes in (simulate._WIDE_LANES, 1, lanes + 1):  # as chosen, all numpy, all float
+            values, final = run_recursion(block, state, coef, wide_lanes)
+            assert same_bits(values, expected)
+            assert same_bits(final, expected_final)
+
+    @pytest.mark.parametrize("wide_lanes", [1, 2])
+    @pytest.mark.parametrize(
+        "x, state, coef",
+        [
+            # c * y_0 is -0.0, and lfilter carries x_0 * 0.0 + c * y_0 = +0.0:
+            # y_1 = +0.0, where the plain x_1 + c * y_0 gives -0.0
+            ([0.0, -0.0], -1.0, 0.0),
+            # the same, with c * y_1 underflowing to -0.0
+            ([-1e150, 0.0, -0.0], 0.0, 5e-324),
+            # the carried state is +0.0, not c * y_0 = -0.0
+            ([0.0], -1.0, 0.0),
+        ],
+    )
+    def test_signed_zeros_follow_lfilter(self, x, state, coef, wide_lanes):
+        block = np.array(x)[:, None]
+        values, final = run_recursion(block, np.array([state]), np.array([coef]), wide_lanes)
+        expected, expected_final = lfilter_recursion(block, np.array([state]), np.array([coef]))
+        assert same_bits(values, expected) and same_bits(final, expected_final)
+
+    def test_split_blocks_carry_the_state(self):
+        rng = make_rng(12)
+        block = rng.standard_normal((50, 20))
+        coef = rng.uniform(0.0, 1.0, 20)
+        whole, final = run_recursion(block, np.zeros(20), coef, simulate._WIDE_LANES)
+        head = block[:17].copy()
+        tail = block[17:].copy()
+        carry = simulate._recurse(head, 0.0, coef)
+        assert same_bits(simulate._recurse(tail, carry, coef), final)
+        assert same_bits(np.concatenate([head, tail]), whole)
+
+
 class TestExpOU:
     def test_zero_vol_limit_is_fixed_point(self):
         grid = GridSpec(50, 1.0)
@@ -275,6 +351,35 @@ class TestSpot:
 
 
 MARKET_TF = TwoFactorParams(alpha=12.56, sigma_s=1.03, sigma_l=0.25, rho=-0.11)
+
+
+class TestSpotRows:
+    """Paths simulated in blocks are the single paths of ``simulate_spot``."""
+
+    CONTINUOUS = {
+        "expou": ExpOU(100.0, 2.0, 1.0),
+        "flat": Flat(2.0),
+        "twofactor": TwoFactorDynamics(MARKET_TF, ForwardCurve.flat(40.0)),
+    }
+
+    @pytest.mark.parametrize("leg", sorted(CONTINUOUS))
+    def test_rows_equal_single_paths_across_blocks(self, leg, monkeypatch):
+        grid = GridSpec(300, 1.0)
+        model = ModelSpec(self.CONTINUOUS[leg], SpikeParams(40.0, 50.0, STUDY_LAW))
+        # blocks of 3 paths, the last one of 1: the buffer is reused and shrinks
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 3 * 2 * (grid.n + 1) + 1)
+        paths = list(spot_rows(model, grid, (make_rng(child_seed(8, r)) for r in range(7))))
+        assert len(paths) == 7
+        for r, path in enumerate(paths):
+            single = simulate_spot(model, grid, make_rng(child_seed(8, r)))
+            for part in ("observed", "continuous", "spike"):
+                assert getattr(path, part).values.tobytes() == getattr(single, part).values.tobytes()
+            assert path.truth == single.truth
+        assert len({len(path.truth) for path in paths}) > 1
+
+    def test_no_generators_give_no_paths(self):
+        model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 50.0, STUDY_LAW))
+        assert list(spot_rows(model, GridSpec(10, 1.0), [])) == []
 
 
 class TestTwoFactor:

@@ -6,14 +6,20 @@ on ``model`` alone, ``simulate`` does not reach up into ``pricing``, and no
 import runs inside a function (a lazy import is how an import cycle gets
 hidden), and no module imports a ``_``-prefixed name from a sibling (a
 private name shared across modules belongs in one of them, behind a public
-function).  ``cli`` keeps exposing the ingest names it re-exports.  The layers that
-``benchmarks/spans.py`` wraps for a traced benchmark run (``--trace 1``) must
-exist where it looks them up, so a cleanup that moves or renames one fails
-here and not only under ``python -m pytest benchmarks``.
+function).  ``cli`` keeps exposing the ingest names it re-exports.  No
+module imports ``scipy.signal`` or ``scipy.stats``, which would double the
+modules and memory that ``import spikelab`` costs; a child process checks the
+import itself.  The layers that ``benchmarks/spans.py`` wraps for a traced
+benchmark run (``--trace 1``) must exist where it looks them up, so a cleanup
+that moves or renames one fails here and not only under ``python -m pytest
+benchmarks``.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +124,50 @@ def test_traced_layers_exist():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+# scipy modules the package may not import: each loads hundreds of modules
+HEAVY_SCIPY = ("scipy.signal", "scipy.stats")
+
+
+def is_heavy_scipy(module: str) -> bool:
+    return any(module == heavy or module.startswith(heavy + ".") for heavy in HEAVY_SCIPY)
+
+
+def heavy_scipy_imports(tree: ast.Module) -> list:
+    """``scipy.signal`` / ``scipy.stats`` imports of a module, in any import form."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if is_heavy_scipy(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if is_heavy_scipy(node.module):
+                found.append(node.module)
+            else:
+                names = (f"{node.module}.{alias.name}" for alias in node.names)
+                found += [name for name in names if is_heavy_scipy(name)]
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_scipy_signal_or_stats_import(name):
+    assert heavy_scipy_imports(MODULES[name]) == []
+
+
+def test_scipy_signal_and_stats_imports_are_seen():
+    tree = ast.parse(
+        "import scipy.signal\nfrom scipy.stats import norm\nfrom scipy import signal, special\n"
+        "from scipy.special import exp1\nimport scipy.statsmodels"
+    )
+    assert heavy_scipy_imports(tree) == ["scipy.signal", "scipy.stats", "scipy.signal"]
+
+
+def test_importing_the_package_loads_no_scipy_signal_or_stats():
+    # a child process: pytest itself has loaded scipy.stats here
+    code = "import sys, spikelab; print(sorted(m for m in sys.modules if m.startswith(%r)))" % (HEAVY_SCIPY,)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
