@@ -27,6 +27,7 @@ from .simulate import (
     SimulatedPath,
     child_seed,
     make_rng,
+    observed_rows,
     simulate_exp_ou,
     simulate_spikes,
     simulate_spot,

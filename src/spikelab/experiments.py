@@ -9,8 +9,8 @@ quantile intervals.
 Replication r of pair p draws its random stream from the child key
 (master_seed, p, r), so a study is bit-reproducible for a fixed master seed
 at any parallelism degree; aggregation order is fixed by replication index.
-The paths are simulated a block at a time (``simulate.spot_rows``) and then
-estimated one by one.
+The observed paths are simulated a block at a time
+(``simulate.observed_rows``) and then estimated one by one.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .pricing import PriceWithCI, ci95, price_from_payoffs, strip_payoffs
 # these names up in this module
 from .pricing import price_strip_mc  # noqa: F401
 from .simulate import simulate_spot  # noqa: F401
-from .simulate import child_seed, make_rng, spot_rows
+from .simulate import child_seed, make_rng, observed_rows
 
 __all__ = [
     "StudyConfig",
@@ -116,14 +116,15 @@ def _estimation_block(config: StudyConfig, pair_idx: int, lo: int, hi: int) -> L
     lam, beta = config.pairs[pair_idx]
     model = ModelSpec(config.continuous, SpikeParams(lam, beta, config.law))
     rngs = (make_rng(child_seed(config.master_seed, pair_idx, rep)) for rep in range(lo, hi))
+    detections = [(mode, replace(config.detection, mode=mode)) for mode in config.modes]
     results = []
-    for sim in spot_rows(model, config.grid, rngs):
-        sigma_hat = multipower_variation(sim.observed, config.detection.mpv_order)
+    for path in observed_rows(model, config.grid, rngs):
+        sigma_hat = multipower_variation(path, config.detection.mpv_order)
         out = {}
-        for mode in config.modes:
-            report = detect_jumps(sim.observed, replace(config.detection, mode=mode), sigma_hat)
+        for mode, detection in detections:
+            report = detect_jumps(path, detection, sigma_hat)
             lam_hat, _ = estimate_lambda(report, config.grid)
-            est = estimate_beta(sim.observed, report)
+            est = estimate_beta(path, report)
             out[mode] = (lam_hat, est.beta_hat, est.flags.undefined, est.flags.floored)
         results.append(out)
     return results
@@ -142,10 +143,11 @@ def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> 
     that generator.  Each pair's replications are split into ``workers``
     contiguous ranges, mapped over one process pool (or run in this process
     for one worker).  A range is simulated in blocks of paths by
-    ``simulate.spot_rows``: for an exp-OU leg, two rows of n + 1 values a
-    path in one buffer of at most 2^21 entries (16 MB, about 100 paths at
+    ``simulate.observed_rows``: one row of n + 1 values a path, the observed
+    path, in one buffer of at most 2^20 entries (8 MB, 104 paths at
     n = 10^4), reused from block to block; detection and estimation then run
-    path by path.  Rows depend on neither the block nor the worker count.
+    path by path, on increments computed once a path.  Rows depend on
+    neither the block nor the worker count.
     """
     workers = resolve_workers(workers)
     reps = config.replications

@@ -18,6 +18,7 @@ asymptotic-regime diagnostics.  It imports no other module of the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
@@ -75,24 +76,30 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledPath:
-    """Values of a process on a GridSpec: (n + 1) observations X_0 .. X_T."""
+    """Values of a process on a GridSpec: (n + 1) observations X_0 .. X_T, held read-only."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if values.flags.writeable or not values.flags.owndata:  # a copy nobody else can write
+            values = values.copy()
+            values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.n + 1,):
             raise ValueError(
                 f"expected {self.grid.n + 1} observations, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("path contains non-finite values")
 
     def increments(self) -> np.ndarray:
-        """Increments D_i X = X_{t_i} - X_{t_{i-1}}, i = 1..n (0-based array)."""
-        return np.diff(self.values)
+        """Increments D_i X = X_{t_i} - X_{t_{i-1}}, i = 1..n (0-based array): read-only, computed once."""
+        if "_increments" not in self.__dict__:
+            object.__setattr__(self, "_increments", np.diff(self.values))
+            self._increments.flags.writeable = False
+        return self._increments
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +166,10 @@ def _ein(x: np.ndarray, eps: float = 0.0) -> np.ndarray:
     return out
 
 
-def _never_zero(draws: np.ndarray, rng: np.random.Generator, redraw) -> np.ndarray:
+def _never_zero(draws: np.ndarray, redraw) -> np.ndarray:
     # nu({0}) = 0: a zero draw is an RNG boundary artifact, redraw it.
     bad = draws == 0.0
-    while np.any(bad):
+    while bad.any():
         draws[bad] = redraw(int(bad.sum()))
         bad = draws == 0.0
     return draws
@@ -199,22 +206,22 @@ class SignedExponentialMixture(JumpLaw):
             raise ValueError(f"signs must be +-1, got {s}")
 
     def sample(self, rng, size=None):
+        # the component is drawn as Generator.choice(p=weights) draws it, from
+        # the same uniforms, on a CDF computed once per law
         k = 1 if size is None else int(size)
-        comp = rng.choice(len(self.weights), size=k, p=self.weights)
-        rates = np.asarray(self.rates)[comp]
-        signs = np.asarray(self.signs, dtype=float)[comp]
-        draws = signs * rng.exponential(1.0, k) / rates
+        cdf, rates, signs = self._components
 
-        def redraw(m):
-            c = rng.choice(len(self.weights), size=m, p=self.weights)
-            return (
-                np.asarray(self.signs, dtype=float)[c]
-                * rng.exponential(1.0, m)
-                / np.asarray(self.rates)[c]
-            )
+        def draw(m):
+            comp = cdf.searchsorted(rng.random(m), side="right")
+            return signs[comp] * rng.exponential(1.0, m) / rates[comp]
 
-        draws = _never_zero(draws, rng, redraw)
+        draws = _never_zero(draw(k), draw)
         return float(draws[0]) if size is None else draws
+
+    @functools.cached_property
+    def _components(self):
+        cdf = np.cumsum(self.weights)
+        return cdf / cdf[-1], np.asarray(self.rates), np.asarray(self.signs, dtype=float)
 
     def moment(self, m=1, kind="signed"):
         if kind == "sign":

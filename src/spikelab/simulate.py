@@ -19,13 +19,14 @@ floats; a wider one loops over the steps with two numpy calls a step across
 all lanes.  On a 2-vCPU host a float step costs 0.12-0.14 us a lane and a
 numpy step about 2 us at any width up to a few hundred lanes, so a single
 path pays about 0.13 us per step and leg (lfilter paid about 0.01 us), and
-ensembles should go through the batched entry points: ``spot_rows``,
-``simulate_two_factor``, ``spike_values_batch`` and the studies.
+ensembles should go through the batched entry points: ``observed_rows``,
+``spot_rows``, ``simulate_two_factor``, ``spike_values_batch`` and the studies.
 
-``spot_rows`` simulates X = Xc + Z for a sequence of generators, a block of
-paths at a time: the exp-OU log shocks and the spike kicks of a block fill
-the rows of one buffer, reused from block to block, and one recursion runs
-over all of them.  ``simulate_spot`` is its row 0.
+``observed_rows`` simulates X = Xc + Z for a sequence of generators, a block
+of paths at a time in one reused buffer of a row a path (8 MB, 104 paths at
+n = 10^4) that holds the exp-OU log shocks on entry; each time chunk runs the
+log and spike lanes as one recursion in a time-major scratch and writes back
+X.  ``spot_rows`` also keeps Xc and Z apart; ``simulate_spot`` is its row 0.
 
 A batch of two-factor paths, with or without spikes, is walked along the
 grid in chunks of columns by ``spot_chunks``, which carries the factor state
@@ -73,6 +74,7 @@ __all__ = [
     "simulate_exp_ou",
     "simulate_spot",
     "spot_rows",
+    "observed_rows",
     "simulate_two_factor",
     "spot_chunks",
 ]
@@ -117,14 +119,15 @@ def interval_index(time, grid: GridSpec):
     """
     mesh, n = grid.mesh, grid.n
     time = np.asarray(time, dtype=float)
-    if not np.all(np.isfinite(time)):
+    if not np.isfinite(time).all():
         raise ValueError("jump times must be finite")
     i = np.minimum(np.maximum(np.floor(time / mesh).astype(np.int64) + 1, 1), n)
     # settle boundary roundoff by direct comparison with the grid times
-    while np.any(low := (i > 1) & ((i - 1) * mesh >= time)):
-        i = i - low
-    while np.any(high := (i < n) & (i * mesh < time)):
-        i = i + high
+    if (((i - 1) * mesh >= time) | (i * mesh < time)).any():
+        while np.any(low := (i > 1) & ((i - 1) * mesh >= time)):
+            i = i - low
+        while np.any(high := (i < n) & (i * mesh < time)):
+            i = i + high
     return int(i) if i.ndim == 0 else i
 
 
@@ -159,7 +162,7 @@ def simulate_spikes(
     ``spike_values_batch``.
     """
     times, sizes = _draw_jumps(params, grid, rng)
-    truth = tuple(JumpRecord(float(t), float(x)) for t, x in zip(times, sizes))
+    truth = tuple(map(JumpRecord, times.tolist(), sizes.tolist()))
     values = spike_values_batch([(times, sizes)], grid, params.reversion)[0]
     return SampledPath(grid, values), truth
 
@@ -196,11 +199,12 @@ _CHUNK_ENTRIES = 32_768
 # they cross near 16 lanes.
 _WIDE_LANES = 16
 
-# Entries (lanes x columns) of the buffer that ``spot_rows`` fills with one
-# block of paths: 16 MB, allocated once per call and reused from block to
-# block.  The more lanes a block, the less each path pays for the numpy
-# steps of the recursion.  No value depends on it.
-_BLOCK_ENTRIES = 1 << 21
+# Entries (paths x columns) of the buffer that holds one block of
+# ``spot_rows`` / ``observed_rows``, one row of n + 1 values a path: 8 MB,
+# allocated once per call and reused from block to block.  The more paths a
+# block, the less each path pays for the numpy steps of the recursion.  No
+# value depends on it.
+_BLOCK_ENTRIES = 1 << 20
 
 
 def _chunk_columns(paths: int) -> int:
@@ -225,7 +229,7 @@ def _recurse(block: np.ndarray, state, coef) -> np.ndarray:
     block[1:] += block[:-1] * 0.0
     block[0] += state
     if block.shape[1] < _WIDE_LANES:
-        for lane, c in zip(block.T, np.broadcast_to(coef, block.shape[1:]).tolist()):
+        for lane, c in zip(block.T, coef.tolist() if np.ndim(coef) else itertools.repeat(float(coef))):
             steps = iter(memoryview(lane))
             y = next(steps)
             lane[1:] = np.frombuffer(array("d", [y := x + c * y for x in steps]))
@@ -237,55 +241,41 @@ def _recurse(block: np.ndarray, state, coef) -> np.ndarray:
     return tail + coef * block[-1]
 
 
-def _recurse_rows(rows: np.ndarray, state, coef) -> None:
-    """``_recurse`` along the rows of a lane-major (lanes, steps) array, in place.
-
-    Each chunk of columns is copied to a time-major block, run and copied
-    back, so both transposes stay in cache; the carried state makes the
-    chunks one recursion.
-    """
-    width = _chunk_columns(len(rows))
-    for start in range(0, rows.shape[1], width):
-        block = rows[:, start : start + width].T.copy()
-        state = _recurse(block, state, coef)
-        rows[:, start : start + width] = block.T
-
-
-def _kicks(
-    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every jump of a batch as (interval index, path, size decayed to the interval's end).
-
-    Sorted by interval, stably, so the jumps of one interval stay in time
-    order and ``np.add.at`` adds them in that order.
-    """
-    times = np.concatenate([t for t, _ in jumps])
-    sizes = np.concatenate([x for _, x in jumps])
-    paths = np.repeat(np.arange(len(jumps)), [t.size for t, _ in jumps])
-    idx = interval_index(times, grid)
-    kicks_at = sizes * np.exp(-reversion * (idx * grid.mesh - times))
-    order = np.argsort(idx, kind="stable")
-    return idx[order], paths[order], kicks_at[order]
-
-
 def _spike_chunks(
-    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float, width: int
+    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float, width: int, logs=None
 ) -> Iterator[np.ndarray]:
-    """Spike values of a batch, one time-major (width, len(jumps)) block per chunk of grid columns.
+    """Spike values of a batch, one time-major (width, lanes) block per chunk of grid columns.
 
-    The recursion state Z is carried from one chunk into the next, so the
+    A block has a lane per path, after, given ``logs = (rows, a, state)``, a
+    lane per row of ``rows``: the log exp-OU inputs of ``_log_ar1``, copied
+    in chunk by chunk, so both legs run as one recursion.  Each jump is
+    decayed to the end of its interval and added there by ``np.add.at``, in
+    time order.  Every lane's state is carried into the next chunk, so the
     blocks are the rows of one whole-grid recursion, bit for bit.
     """
-    idx, paths, kicks_at = _kicks(jumps, grid, reversion)
-    decay = np.exp(-reversion * grid.mesh)
-    state = 0.0
+    times = np.concatenate([t for t, _ in jumps])
+    idx = interval_index(times, grid)
+    kicks_at = np.concatenate([x for _, x in jumps]) * np.exp(-reversion * (idx * grid.mesh - times))
+    rows, a, log_state = (np.empty((0, grid.n + 1)), 0.0, 0.0) if logs is None else logs
+    lead = len(rows)
+    lanes = np.repeat(np.arange(lead, lead + len(jumps)), [t.size for t, _ in jumps])
+    chunked = width <= grid.n
+    # with several chunks, order the kicks by interval, stably, to slice them per chunk
+    order = np.argsort(idx, kind="stable") if chunked else slice(None)
+    idx, lanes, kicks_at = idx[order], lanes[order], kicks_at[order]
+    del times, order  # not held while the walk runs
+    coef, state = np.full(lead + len(jumps), np.exp(-reversion * grid.mesh)), np.zeros(lead + len(jumps))
+    coef[:lead], state[:lead] = a, log_state
     for start in range(0, grid.n + 1, width):
         stop = min(start + width, grid.n + 1)
-        lo, hi = np.searchsorted(idx, (start, stop))
-        kicks = np.zeros((stop - start, len(jumps)))
-        np.add.at(kicks, (idx[lo:hi] - start, paths[lo:hi]), kicks_at[lo:hi])
-        state = _recurse(kicks, state, decay)
-        yield kicks
+        lo, hi = np.searchsorted(idx, (start, stop)) if chunked else (0, idx.size)
+        block = np.zeros((stop - start, lead + len(jumps)))
+        block[:, :lead] = rows[:, start:stop].T
+        np.add.at(block, (idx[lo:hi] - start, lanes[lo:hi]), kicks_at[lo:hi])
+        first = 1 if start == 0 else 0  # column 0 holds Z_0 = 0 and Y_0
+        if stop > start + first:
+            state = _recurse(block[first:], state, coef)
+        yield block
 
 
 def _log_ar1(spec: ExpOU, grid: GridSpec, rngs: Sequence[np.random.Generator], rows: np.ndarray):
@@ -318,68 +308,98 @@ def simulate_exp_ou(
     log X is Gaussian AR(1): Y_{i} = a Y_{i-1} + s G_i with a = exp(-kappa *
     mesh) and s^2 = vol^2 (1 - a^2) / (2 kappa) (s^2 = vol^2 * mesh in the
     kappa -> 0 limit).  The normals come from ``rng``; the path is one lane
-    of the recursion that ``spot_rows`` runs for a block of exp-OU paths.
+    of the recursion that ``observed_rows`` runs for a block of exp-OU paths.
     """
-    logs = np.empty((1, grid.n + 1))
-    a, state = _log_ar1(spec, grid, [rng], logs)
-    _recurse_rows(logs[:, 1:], state, a)
-    return SampledPath(grid, np.exp(logs[0]))
+    logs = np.empty(grid.n + 1)
+    a, state = _log_ar1(spec, grid, [rng], logs[None])
+    _recurse(logs[1:, None], state, a)
+    return SampledPath(grid, np.exp(logs))
 
 
-def _continuous_path(spec: ContinuousSpec, grid: GridSpec, rng: np.random.Generator) -> SampledPath:
+def _continuous_rows(
+    spec: ContinuousSpec, grid: GridSpec, rngs: Sequence[np.random.Generator], rows: np.ndarray
+) -> Optional[Tuple[np.ndarray, float, float]]:
+    """Fill rows with the continuous leg, one generator a row.
+
+    An exp-OU leg gets the inputs of ``_log_ar1`` and returns (rows, a, a Y_0)
+    for ``_spike_chunks``; a flat or two-factor leg gets its values (None).
+    """
+    if isinstance(spec, ExpOU):
+        return (rows, *_log_ar1(spec, grid, rngs, rows))
     if isinstance(spec, Flat):
-        return SampledPath(grid, np.full(grid.n + 1, float(spec.level)))
-    if isinstance(spec, TwoFactorDynamics):
-        return SampledPath(grid, simulate_two_factor(spec.params, spec.curve, grid, rng, 1)[0])
-    raise TypeError(f"unsupported continuous spec {type(spec).__name__}")
+        rows[:] = float(spec.level)
+    elif isinstance(spec, TwoFactorDynamics):
+        for row, rng in zip(rows, rngs):
+            row[:] = simulate_two_factor(spec.params, spec.curve, grid, rng, 1)[0]
+    else:
+        raise TypeError(f"unsupported continuous spec {type(spec).__name__}")
+    return None
+
+
+def _spot_blocks(
+    model: ModelSpec, grid: GridSpec, rngs: Iterable[np.random.Generator], split: bool
+) -> Iterator[Tuple[list, np.ndarray, Optional[np.ndarray]]]:
+    """Simulate X = Xc + Z a block of paths at a time; yield (jumps, rows, spikes) per block.
+
+    Path r spawns two child streams of rngs[r], for the continuous leg and
+    the jumps.  A block's rows (paths, n + 1) lie in one buffer of at most
+    ``_BLOCK_ENTRIES`` entries, reused from block to block, and start out
+    holding the continuous leg; each time chunk of ``_spike_chunks`` is
+    written back as X, or with ``split`` as Xc and Z into a new ``spikes``.
+    """
+    rngs = iter(rngs)
+    per_block = max(1, _BLOCK_ENTRIES // (grid.n + 1))
+    buffer = np.empty(0)
+    while streams := [rng.spawn(2) for rng in itertools.islice(rngs, per_block)]:
+        paths = len(streams)
+        if buffer.size < paths * (grid.n + 1):
+            buffer = np.empty(paths * (grid.n + 1))
+        rows = buffer[: paths * (grid.n + 1)].reshape(paths, grid.n + 1)
+        logs = _continuous_rows(model.continuous, grid, [cont for cont, _ in streams], rows)
+        jumps = [_draw_jumps(model.spikes, grid, jump_rng) for _, jump_rng in streams]
+        spikes = np.empty_like(rows) if split else None
+        width = _chunk_columns(paths if logs is None else 2 * paths)
+        blocks = _spike_chunks(jumps, grid, model.spikes.reversion, width, logs)
+        for start, block in zip(range(0, grid.n + 1, width), blocks):
+            cols = slice(start, start + len(block))
+            z = block[:, -paths:]
+            xc = rows[:, cols].T if logs is None else np.exp(block[:, :paths])
+            if split:
+                spikes[:, cols] = z.T
+            rows[:, cols] = (xc if split else xc + z).T  # a no-op for Xc read from rows
+        yield jumps, rows, spikes
 
 
 def spot_rows(
     model: ModelSpec, grid: GridSpec, rngs: Iterable[np.random.Generator]
 ) -> Iterator[SimulatedPath]:
-    """Simulate X = Xc + Z once per generator in ``rngs``, a block of paths at a time.
+    """Simulate X = Xc + Z and its parts once per generator in ``rngs``, a block of paths at a time.
 
     Path r spawns two child streams of rngs[r], as ``simulate_spot`` does:
     the continuous leg draws from the first and the jumps from the second,
     so each path is the one ``simulate_spot`` gives on that generator, bit
-    for bit, whatever the block.  Per block, the spike kicks of every path
-    and, for an exp-OU leg, its log shocks fill the rows of one buffer of at
-    most ``_BLOCK_ENTRIES`` entries (two rows a path, 16 MB), reused from
-    block to block, and one recursion runs over all of them.  A flat or
-    two-factor leg is simulated path by path.  Yielded paths own their
-    values.
+    for bit, whatever the block.  A block holds a row a path in one reused
+    buffer of at most 2^20 entries (8 MB) and a new row of spike values a
+    path.  A two-factor leg is simulated path by path.
     """
-    exp_ou = model.continuous if isinstance(model.continuous, ExpOU) else None
-    legs = 1 if exp_ou is None else 2
-    spikes = model.spikes
-    decay = np.exp(-spikes.reversion * grid.mesh)
-    rngs = iter(rngs)
-    per_block = max(1, _BLOCK_ENTRIES // (legs * (grid.n + 1)))
-    buffer = np.empty(0)
-    while streams := [rng.spawn(2) for rng in itertools.islice(rngs, per_block)]:
-        paths = len(streams)
-        size = legs * paths * (grid.n + 1)
-        if buffer.size < size:
-            buffer = np.empty(size)
-        rows = buffer[:size].reshape(legs * paths, grid.n + 1)
-        coef, state = np.full(len(rows), decay), np.zeros(len(rows))
-        if exp_ou is not None:
-            coef[:paths], state[:paths] = _log_ar1(exp_ou, grid, [cont for cont, _ in streams], rows[:paths])
-        jumps = [_draw_jumps(spikes, grid, jump_rng) for _, jump_rng in streams]
-        idx, path, kicks_at = _kicks(jumps, grid, spikes.reversion)
-        spike_rows = rows[-paths:]
-        spike_rows[:] = 0.0
-        np.add.at(spike_rows, (path, idx), kicks_at)
-        _recurse_rows(rows[:, 1:], state, coef)
-        for r, (cont_rng, _) in enumerate(streams):
-            if exp_ou is None:
-                continuous = _continuous_path(model.continuous, grid, cont_rng)
-            else:
-                continuous = SampledPath(grid, np.exp(rows[r]))
-            spike = SampledPath(grid, spike_rows[r].copy())
-            truth = tuple(JumpRecord(float(t), float(x)) for t, x in zip(*jumps[r]))
-            observed = SampledPath(grid, continuous.values + spike.values)
-            yield SimulatedPath(observed=observed, continuous=continuous, spike=spike, truth=truth)
+    for jumps, rows, spikes in _spot_blocks(model, grid, rngs, split=True):
+        for row, spike_row, (times, sizes) in zip(rows, spikes, jumps):
+            continuous, spike = SampledPath(grid, row), SampledPath(grid, spike_row)
+            truth = tuple(map(JumpRecord, times.tolist(), sizes.tolist()))
+            observed = continuous.values + spike.values
+            observed.flags.writeable = False  # handed to the path, not copied
+            yield SimulatedPath(SampledPath(grid, observed), continuous, spike, truth)
+
+
+def observed_rows(
+    model: ModelSpec, grid: GridSpec, rngs: Iterable[np.random.Generator]
+) -> Iterator[SampledPath]:
+    """The observed paths X of ``spot_rows`` on the same generators, bit for bit, without their parts.
+
+    A block needs only its buffer of one row a path (8 MB, 104 paths at n = 10^4).
+    """
+    for _, rows, _ in _spot_blocks(model, grid, rngs, split=False):
+        yield from (SampledPath(grid, row) for row in rows)
 
 
 def simulate_spot(

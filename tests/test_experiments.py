@@ -1,6 +1,7 @@
 """Study harness: determinism, aggregation and output formats."""
 
 import json
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -80,6 +81,18 @@ class TestEstimationStudy:
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):
             small_study(reps=1)
+
+    def test_traced_peak_of_a_study_stays_small(self):
+        # n = 10^4: a block of 104 paths and one of 16, each in the one 8 MB
+        # buffer of one row a path; two rows a path peaked at 16.7 MB
+        config = replace(small_study(reps=120), grid=GridSpec(10_000, 1.0))
+        tracemalloc.start()
+        try:
+            run_estimation_study(config, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
 
 class TestWorkers:

@@ -1,6 +1,7 @@
 """Jump-size laws, grids and assumption diagnostics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,6 +194,90 @@ class TestSampling:
         for value in (1.0, -2.0, 3.0):
             freq = np.mean(draws == value)
             assert freq == pytest.approx(1 / 3, abs=4 * math.sqrt((1 / 3) * (2 / 3) / draws.size))
+
+
+def choice_mixture_draws(law, rng, size):
+    """Mixture draws with the component from ``Generator.choice(p=weights)``, zero draws redrawn."""
+
+    def draw(m):
+        comp = rng.choice(len(law.weights), size=m, p=law.weights)
+        return np.asarray(law.signs, dtype=float)[comp] * rng.exponential(1.0, m) / np.asarray(law.rates)[comp]
+
+    draws = draw(size)
+    while (zero := draws == 0.0).any():
+        draws[zero] = draw(int(zero.sum()))
+    return draws
+
+
+class ZeroedExponentials:
+    """A generator whose first ``exponential`` draw is 0.0 at ``positions``, forcing a redraw."""
+
+    def __init__(self, rng, positions):
+        self.rng, self.positions = rng, positions
+
+    def exponential(self, *args):
+        out = self.rng.exponential(*args)
+        if self.positions is not None:
+            out[[p for p in self.positions if p < out.size]] = 0.0
+            self.positions = None
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestMixtureComponentDraw:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        law=mixtures(),
+        size=st.integers(0, 50),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.lists(st.integers(0, 49), max_size=4),
+    )
+    @example(law=MIX, size=6, seed=3, zeros=[0, 5])
+    def test_same_draws_and_stream_as_choice(self, law, size, seed, zeros):
+        ours = ZeroedExponentials(np.random.default_rng(seed), zeros)
+        theirs = ZeroedExponentials(np.random.default_rng(seed), zeros)
+        assert law.sample(ours, size).tobytes() == choice_mixture_draws(law, theirs, size).tobytes()
+        assert ours.rng.random() == theirs.rng.random()  # as many doubles consumed
+        assert law.sample(ours) == choice_mixture_draws(law, theirs, 1)[0]
+
+    def test_uniform_on_a_cdf_step_takes_the_next_component(self):
+        # as in Generator.choice: component i for cdf[i - 1] <= u < cdf[i]
+        law = SignedExponentialMixture((0.5, 0.5), (1.0, 2.0), (1, -1))
+        stub = mock.Mock(random=lambda m: np.array([0.5, 0.0])[:m], exponential=lambda scale, m: np.ones(m))
+        assert law.sample(stub, 2).tolist() == [-0.5, 1.0]
+
+    def test_forced_zero_is_redrawn(self):
+        draws = MIX.sample(ZeroedExponentials(np.random.default_rng(1), [0, 2]), 4)
+        assert draws.shape == (4,) and np.all(draws != 0.0)
+
+
+class TestSampledPath:
+    def test_values_are_a_read_only_copy(self):
+        values = np.array([0.0, 1.0, 3.0, 2.0, 2.5])
+        path = SampledPath(GridSpec(4), values)
+        values[0] = 9.0
+        assert path.values[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            path.values[0] = 1.0
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+        base = np.array([0.0, 1.0, 3.0, 2.0, 2.5])
+        view = base[:]
+        view.flags.writeable = False
+        path = SampledPath(GridSpec(4), view)
+        path.increments()
+        base[0] = 9.0
+        assert path.values[0] == 0.0 and path.increments()[0] == 1.0
+
+    def test_increments_are_computed_once_and_read_only(self):
+        path = SampledPath(GridSpec(4), np.array([0.0, 1.0, 3.0, 2.0, 2.5]))
+        incr = path.increments()
+        assert incr is path.increments()
+        assert incr.tolist() == [1.0, 2.0, -1.0, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            incr[0] = 0.0
 
 
 class TestAssumptions:

@@ -21,6 +21,7 @@ from spikelab.simulate import (
     child_seed,
     interval_index,
     make_rng,
+    observed_rows,
     simulate_exp_ou,
     simulate_spikes,
     simulate_spot,
@@ -341,6 +342,14 @@ class TestSpot:
         assert np.all(sim.continuous.values > 0)
         assert np.array_equal(sim.observed.values, sim.continuous.values + sim.spike.values)
 
+    @pytest.mark.parametrize("chunk_entries", [2 * 7, simulate._CHUNK_ENTRIES])
+    def test_exp_ou_leg_is_simulate_exp_ou_on_the_first_child_stream(self, chunk_entries, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", chunk_entries)  # one path: two lanes
+        grid, spec = GridSpec(300, 1.0), ExpOU(100.0, 2.0, 3.0)
+        sim = simulate_spot(ModelSpec(spec, SpikeParams(40.0, 50.0, STUDY_LAW)), grid, make_rng(5))
+        alone = simulate_exp_ou(spec, grid, make_rng(5).spawn(2)[0])
+        assert sim.continuous.values.tobytes() == alone.values.tobytes()
+
     def test_fixed_seed_reproducibility(self):
         grid = GridSpec(1_000, 1.0)
         model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 200.0, STUDY_LAW))
@@ -367,7 +376,7 @@ class TestSpotRows:
         grid = GridSpec(300, 1.0)
         model = ModelSpec(self.CONTINUOUS[leg], SpikeParams(40.0, 50.0, STUDY_LAW))
         # blocks of 3 paths, the last one of 1: the buffer is reused and shrinks
-        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 3 * 2 * (grid.n + 1) + 1)
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 3 * (grid.n + 1) + 1)
         paths = list(spot_rows(model, grid, (make_rng(child_seed(8, r)) for r in range(7))))
         assert len(paths) == 7
         for r, path in enumerate(paths):
@@ -380,6 +389,68 @@ class TestSpotRows:
     def test_no_generators_give_no_paths(self):
         model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 50.0, STUDY_LAW))
         assert list(spot_rows(model, GridSpec(10, 1.0), [])) == []
+
+
+class TestObservedRows:
+    """The study's observed rows are the observed paths of ``simulate_spot``, bit for bit."""
+
+    # log(initial) != 0, so a log recursion run through column 0 would show
+    CONTINUOUS = dict(TestSpotRows.CONTINUOUS, expou=ExpOU(100.0, 2.0, 3.0))
+
+    def rows_and_singles(self, leg, grid, intensity, seed, count, width, per_block):
+        model = ModelSpec(self.CONTINUOUS[leg], SpikeParams(intensity, 50.0, STUDY_LAW))
+        streams = [make_rng(child_seed(seed, 0, r)) for r in range(count)]
+        # full blocks walk `width` columns a chunk: two lanes a path for an exp-OU leg
+        lanes = (2 if leg == "expou" else 1) * per_block
+        with mock.patch.object(simulate, "_CHUNK_ENTRIES", width * lanes), mock.patch.object(
+            simulate, "_BLOCK_ENTRIES", per_block * (grid.n + 1)
+        ):
+            rows = list(observed_rows(model, grid, streams))
+        singles = [simulate_spot(model, grid, make_rng(child_seed(seed, 0, r))) for r in range(count)]
+        return rows, singles
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        leg=st.sampled_from(sorted(CONTINUOUS)),
+        n=st.integers(2, 40),
+        # a jump in nearly every column of every chunk, or nearly no jump at all
+        intensity=st.sampled_from([0.05, 3.0, 400.0]),
+        seed=st.integers(0, 2**16),
+        count=st.integers(0, 9),
+        width=st.integers(1, 12),
+        per_block=st.integers(1, 4),
+    )
+    def test_rows_equal_simulate_spot(self, leg, n, intensity, seed, count, width, per_block):
+        rows, singles = self.rows_and_singles(leg, GridSpec(n, 1.0), intensity, seed, count, width, per_block)
+        assert len(rows) == count
+        for row, single in zip(rows, singles):
+            assert row.values.tobytes() == single.observed.values.tobytes()
+
+    @pytest.mark.parametrize("leg", sorted(CONTINUOUS))
+    def test_chunk_edges_and_jumpless_paths(self, leg):
+        grid, width = GridSpec(30, 1.0), 4
+        rows, singles = self.rows_and_singles(leg, grid, 2.0, 21, 12, width, 3)
+        columns = [interval_index(np.array([rec.time for rec in s.truth]), grid) for s in singles]
+        # jumps on the first and on the last column of some chunk, and paths with no jump
+        assert any((cols % width == 0).any() for cols in columns)
+        assert any((cols % width == width - 1).any() for cols in columns)
+        assert any(cols.size == 0 for cols in columns)
+        for row, single in zip(rows, singles):
+            assert row.values.tobytes() == single.observed.values.tobytes()
+
+    def test_a_block_holds_104_paths_at_n_1e4(self, monkeypatch):
+        sizes = []
+
+        def recorded(jumps, *args):
+            sizes.append(len(jumps))
+            return spike_chunks(jumps, *args)
+
+        spike_chunks = simulate._spike_chunks
+        monkeypatch.setattr(simulate, "_spike_chunks", recorded)
+        model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 200.0, STUDY_LAW))
+        paths = observed_rows(model, GridSpec(10_000, 1.0), (make_rng(r) for r in range(105)))
+        assert sum(1 for _ in paths) == 105
+        assert sizes == [104, 1]
 
 
 class TestTwoFactor:
