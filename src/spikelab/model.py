@@ -76,30 +76,37 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledPath:
-    """Values of a process on a GridSpec: (n + 1) observations X_0 .. X_T, held read-only."""
+    """Values of a process on a GridSpec: (n + 1) observations X_0 .. X_T, held read-only.
+
+    An array that owns its data is handed over and made read-only in place;
+    a view is copied first, since its base could still be written.
+    """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.flags.writeable or not values.flags.owndata:  # a copy nobody else can write
+        if not values.flags.owndata:
             values = values.copy()
-            values.flags.writeable = False
-        object.__setattr__(self, "values", values)
         if values.shape != (self.grid.n + 1,):
             raise ValueError(
                 f"expected {self.grid.n + 1} observations, got shape {values.shape}"
             )
         if not np.isfinite(values).all():
             raise ValueError("path contains non-finite values")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def increments(self) -> np.ndarray:
         """Increments D_i X = X_{t_i} - X_{t_{i-1}}, i = 1..n (0-based array): read-only, computed once."""
-        if "_increments" not in self.__dict__:
-            object.__setattr__(self, "_increments", np.diff(self.values))
-            self._increments.flags.writeable = False
         return self._increments
+
+    @functools.cached_property
+    def _increments(self) -> np.ndarray:
+        incr = np.diff(self.values)
+        incr.flags.writeable = False
+        return incr
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ ensembles should go through the batched entry points: ``observed_rows``,
 
 ``observed_rows`` simulates X = Xc + Z for a sequence of generators, a block
 of paths at a time in one reused buffer of a row a path (8 MB, 104 paths at
-n = 10^4) that holds the exp-OU log shocks on entry; each time chunk runs the
-log and spike lanes as one recursion in a time-major scratch and writes back
-X.  ``spot_rows`` also keeps Xc and Z apart; ``simulate_spot`` is its row 0.
+n = 10^4); each time chunk runs the log and spike lanes as one recursion and
+writes back X.  ``spot_rows`` also keeps Xc and Z; ``simulate_spot`` is row 0.
 
 A batch of two-factor paths, with or without spikes, is walked along the
 grid in chunks of columns by ``spot_chunks``, which carries the factor state
@@ -123,11 +122,10 @@ def interval_index(time, grid: GridSpec):
         raise ValueError("jump times must be finite")
     i = np.minimum(np.maximum(np.floor(time / mesh).astype(np.int64) + 1, 1), n)
     # settle boundary roundoff by direct comparison with the grid times
-    if (((i - 1) * mesh >= time) | (i * mesh < time)).any():
-        while np.any(low := (i > 1) & ((i - 1) * mesh >= time)):
-            i = i - low
-        while np.any(high := (i < n) & (i * mesh < time)):
-            i = i + high
+    while np.any(low := (i > 1) & ((i - 1) * mesh >= time)):
+        i = i - low
+    while np.any(high := (i < n) & (i * mesh < time)):
+        i = i + high
     return int(i) if i.ndim == 0 else i
 
 
@@ -199,11 +197,10 @@ _CHUNK_ENTRIES = 32_768
 # they cross near 16 lanes.
 _WIDE_LANES = 16
 
-# Entries (paths x columns) of the buffer that holds one block of
-# ``spot_rows`` / ``observed_rows``, one row of n + 1 values a path: 8 MB,
-# allocated once per call and reused from block to block.  The more paths a
-# block, the less each path pays for the numpy steps of the recursion.  No
-# value depends on it.
+# Entries (paths x columns) of the buffer of one block of ``_spot_blocks``,
+# one row of n + 1 values a path: 8 MB, allocated once per call and reused.
+# The more paths a block, the less each path pays for the numpy steps of the
+# recursion.  No value depends on it.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -246,12 +243,11 @@ def _spike_chunks(
 ) -> Iterator[np.ndarray]:
     """Spike values of a batch, one time-major (width, lanes) block per chunk of grid columns.
 
-    A block has a lane per path, after, given ``logs = (rows, a, state)``, a
-    lane per row of ``rows``: the log exp-OU inputs of ``_log_ar1``, copied
-    in chunk by chunk, so both legs run as one recursion.  Each jump is
-    decayed to the end of its interval and added there by ``np.add.at``, in
-    time order.  Every lane's state is carried into the next chunk, so the
-    blocks are the rows of one whole-grid recursion, bit for bit.
+    One lane a path; given ``logs = (rows, a, state)`` from ``_log_ar1``,
+    the rows' log exp-OU lanes come first, so both legs run as one recursion.
+    Jumps are decayed to their interval's end and added by ``np.add.at`` in
+    time order; each lane's state carries into the next chunk, so the blocks
+    are the rows of one whole-grid recursion, bit for bit.
     """
     times = np.concatenate([t for t, _ in jumps])
     idx = interval_index(times, grid)
@@ -259,16 +255,15 @@ def _spike_chunks(
     rows, a, log_state = (np.empty((0, grid.n + 1)), 0.0, 0.0) if logs is None else logs
     lead = len(rows)
     lanes = np.repeat(np.arange(lead, lead + len(jumps)), [t.size for t, _ in jumps])
-    chunked = width <= grid.n
-    # with several chunks, order the kicks by interval, stably, to slice them per chunk
-    order = np.argsort(idx, kind="stable") if chunked else slice(None)
+    # order the kicks by interval, stably, to slice them per chunk
+    order = np.argsort(idx, kind="stable")
     idx, lanes, kicks_at = idx[order], lanes[order], kicks_at[order]
     del times, order  # not held while the walk runs
     coef, state = np.full(lead + len(jumps), np.exp(-reversion * grid.mesh)), np.zeros(lead + len(jumps))
     coef[:lead], state[:lead] = a, log_state
     for start in range(0, grid.n + 1, width):
         stop = min(start + width, grid.n + 1)
-        lo, hi = np.searchsorted(idx, (start, stop)) if chunked else (0, idx.size)
+        lo, hi = np.searchsorted(idx, (start, stop))
         block = np.zeros((stop - start, lead + len(jumps)))
         block[:, :lead] = rows[:, start:stop].T
         np.add.at(block, (idx[lo:hi] - start, lanes[lo:hi]), kicks_at[lo:hi])
@@ -312,7 +307,9 @@ def simulate_exp_ou(
     """
     logs = np.empty(grid.n + 1)
     a, state = _log_ar1(spec, grid, [rng], logs[None])
-    _recurse(logs[1:, None], state, a)
+    width = _chunk_columns(1)  # chunked, so the float loop's list stays small
+    for start in range(1, grid.n + 1, width):
+        state = _recurse(logs[start : start + width, None], state, a)
     return SampledPath(grid, np.exp(logs))
 
 
@@ -386,18 +383,14 @@ def spot_rows(
         for row, spike_row, (times, sizes) in zip(rows, spikes, jumps):
             continuous, spike = SampledPath(grid, row), SampledPath(grid, spike_row)
             truth = tuple(map(JumpRecord, times.tolist(), sizes.tolist()))
-            observed = continuous.values + spike.values
-            observed.flags.writeable = False  # handed to the path, not copied
-            yield SimulatedPath(SampledPath(grid, observed), continuous, spike, truth)
+            observed = SampledPath(grid, continuous.values + spike.values)
+            yield SimulatedPath(observed, continuous, spike, truth)
 
 
 def observed_rows(
     model: ModelSpec, grid: GridSpec, rngs: Iterable[np.random.Generator]
 ) -> Iterator[SampledPath]:
-    """The observed paths X of ``spot_rows`` on the same generators, bit for bit, without their parts.
-
-    A block needs only its buffer of one row a path (8 MB, 104 paths at n = 10^4).
-    """
+    """The observed paths X of ``spot_rows``, bit for bit, from a buffer of one row a path (8 MB)."""
     for _, rows, _ in _spot_blocks(model, grid, rngs, split=False):
         yield from (SampledPath(grid, row) for row in rows)
 

@@ -254,13 +254,26 @@ class TestMixtureComponentDraw:
 
 
 class TestSampledPath:
-    def test_values_are_a_read_only_copy(self):
+    def test_an_owned_array_is_handed_over_read_only(self):
         values = np.array([0.0, 1.0, 3.0, 2.0, 2.5])
         path = SampledPath(GridSpec(4), values)
-        values[0] = 9.0
-        assert path.values[0] == 0.0
+        assert path.values is values
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 9.0
+
+    def test_a_writable_view_is_copied(self):
+        base = np.array([7.0, 0.0, 1.0, 3.0, 2.0, 2.5])
+        path = SampledPath(GridSpec(4), base[1:])
+        base[1] = 9.0
+        assert path.values[0] == 0.0 and base.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             path.values[0] = 1.0
+
+    def test_a_rejected_array_stays_writable(self):
+        values = np.array([0.0, np.nan, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            SampledPath(GridSpec(4), values)
+        assert values.flags.writeable
 
     def test_a_read_only_view_of_a_writable_array_is_copied(self):
         base = np.array([0.0, 1.0, 3.0, 2.0, 2.5])
