@@ -208,7 +208,7 @@ def _chunk_columns(paths: int) -> int:
     return max(1, _CHUNK_ENTRIES // paths)
 
 
-def _recurse(block: np.ndarray, state, coef) -> np.ndarray:
+def _recurse(block: np.ndarray, state, coef: np.ndarray) -> np.ndarray:
     """Run y_t = x_t + coef * y_{t-1} down the time-major block (steps, lanes), in place.
 
     Row 0 becomes x_0 + ``state``; the returned state x_last * 0.0 + coef *
@@ -217,8 +217,8 @@ def _recurse(block: np.ndarray, state, coef) -> np.ndarray:
     ``lfilter([1], [1, -coef], block, axis=0, zi=state)`` and its final
     state, bit for bit, signed zeros included: lfilter adds x_{t-1} * 0.0 to
     every carried term, which moves only the sign of a zero sum, and adding
-    that signed zero to x_t first gives the same sums.  ``coef`` and
-    ``state`` are scalars or one value per lane.  A block of fewer than
+    that signed zero to x_t first gives the same sums.  ``coef`` is one value
+    per lane, ``state`` a scalar or one value per lane.  A block of fewer than
     ``_WIDE_LANES`` lanes loops over each lane in Python floats, a wider one
     over its steps with two numpy calls a step across all lanes.
     """
@@ -226,7 +226,7 @@ def _recurse(block: np.ndarray, state, coef) -> np.ndarray:
     block[1:] += block[:-1] * 0.0
     block[0] += state
     if block.shape[1] < _WIDE_LANES:
-        for lane, c in zip(block.T, coef.tolist() if np.ndim(coef) else itertools.repeat(float(coef))):
+        for lane, c in zip(block.T, coef.tolist()):
             steps = iter(memoryview(lane))
             y = next(steps)
             lane[1:] = np.frombuffer(array("d", [y := x + c * y for x in steps]))
@@ -309,7 +309,7 @@ def simulate_exp_ou(
     a, state = _log_ar1(spec, grid, [rng], logs[None])
     width = _chunk_columns(1)  # chunked, so the float loop's list stays small
     for start in range(1, grid.n + 1, width):
-        state = _recurse(logs[start : start + width, None], state, a)
+        state = _recurse(logs[start : start + width, None], state, np.full(1, a))
     return SampledPath(grid, np.exp(logs))
 
 
@@ -431,7 +431,7 @@ def _factor_chunks(
     """
     alpha, rho = params.alpha, params.rho
     mesh = grid.mesh
-    a = np.exp(-alpha * mesh)
+    a = np.full(paths, np.exp(-alpha * mesh))  # an array: numpy multiplies it faster than a scalar
     var2 = -np.expm1(-2.0 * alpha * mesh) / (2.0 * alpha)
     cov = rho * (-np.expm1(-alpha * mesh)) / alpha
     c = cov / np.sqrt(mesh)
