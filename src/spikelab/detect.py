@@ -149,10 +149,11 @@ def detect_jumps(
     incr = path.increments()
     flags = np.abs(incr) > threshold
     if config.mode == SIGN_FILTERED:
-        opposite = np.zeros_like(flags)
-        opposite[:-1] = incr[:-1] * incr[1:] < 0
-        flags &= opposite
-    indices = np.nonzero(flags)[0] + 1
+        # the sign test runs at the exceedances only, the last increment excluded
+        exceed = np.flatnonzero(flags[:-1])
+        indices = exceed[incr[exceed] * incr[exceed + 1] < 0] + 1
+    else:
+        indices = np.flatnonzero(flags) + 1
     return DetectionReport(
         indices=indices,
         increments=incr[indices - 1],

@@ -132,10 +132,12 @@ def estimate_beta(path: SampledPath, report: DetectionReport) -> BetaEstimate:
     idx = np.asarray(report.indices, dtype=int)
     detected = incr[idx - 1]
     signs = sign(detected)
-    has_succ = idx < n
-    succ = np.where(has_succ, incr[np.minimum(idx, n - 1)], 0.0)
-    drops = int(np.count_nonzero(~has_succ))
-    prev_sum = np.concatenate([[0.0], np.cumsum(detected)[:-1]])
+    succ = incr.take(idx, mode="wrap")  # an index at n (no successor) reads a value zeroed below
+    no_succ = idx >= n
+    succ[no_succ] = 0.0
+    drops = int(np.count_nonzero(no_succ))
+    prev_sum = np.zeros(idx.size)
+    np.cumsum(detected[:-1], out=prev_sum[1:])
     num = float(np.sum(signs * (succ + 2.0 * mesh * prev_sum)))
     den = float(np.sum(np.abs(detected)))
     beta, slope, floored = _invert_slope(num, den, mesh)
@@ -277,7 +279,7 @@ def estimate_spikes(
     if with_diagnostics and lam > 0 and beta.beta_hat > 0:
         incr = path.increments()
         detected = incr[np.asarray(report.indices, dtype=int) - 1]
-        signed1 = estimate_jump_moments(path, report, beta.beta_hat, 1)
+        signed1 = moments[1] if 1 in moments else estimate_jump_moments(path, report, beta.beta_hat, 1)
         abs_raw = float(np.mean(np.abs(detected)))
         abs_sq = float(np.mean(detected**2))
         bd = beta.beta_hat * grid.mesh

@@ -15,9 +15,11 @@ one.  Every spacing must be a whole number of steps, and the grid needs at
 least 2 of them.
 
 Errors are ``IngestError`` with one line naming the file and the 1-based data
-row (empty lines not counted).  The two columns are converted whole by numpy;
-the per-row reader runs only on a file this bulk pass rejects, returning the
-same values or raising the error that names the first bad row.
+row (empty lines not counted).  The two columns are converted whole by numpy,
+the ISO-8601 stamps by its datetime64 parser on their ASCII bytes once every
+distinct shape is one ``datetime.fromisoformat`` reads alike; the per-row
+reader runs only on a file this bulk pass rejects, returning the same values
+or raising the error that names the first bad row.
 """
 
 from __future__ import annotations
@@ -42,14 +44,11 @@ GAP_FFILL1 = "forward_fill_max_1"
 DEDUP_REJECT = "reject"
 DEDUP_KEEP_FIRST = "keep_first"
 
-# The ISO-8601 shapes (digits written as 9) that the bulk pass converts
-# itself: each is read the same way by datetime.fromisoformat on every
-# supported Python (3.10 takes fractions of 3 or 6 digits only)
-_ISO_SHAPE = re.compile(
-    r"(?P<year>9999)-(?P<month>99)-(?P<day>99)(?:[T ](?P<hour>99)(?::(?P<minute>99)"
-    r"(?::(?P<second>99)(?:\.(?P<fraction>999(?:999)?))?)?"
-    r"(?:Z|(?P<zone>[+-])(?P<zone_hour>99):(?P<zone_minute>99))?)?)?"
-)
+# The ISO-8601 shapes (digits written as 9) that the bulk pass converts: up
+# to the zone, each is read the same way by datetime.fromisoformat on every
+# supported Python (3.10 takes fractions of 3 or 6 digits only) and by
+# numpy's datetime64 parser, which rejects the same out-of-range fields but year 0
+_ISO_SHAPE = re.compile(r"9999-99-99(?:[T ]99(?::99(?::99(?:\.999(?:999)?)?)?)?(?P<zone>Z|[+-]99:99)?)?")
 # one more character than the longest such stamp, so a truncated field shows
 _WIDTH = 33
 # microsecond counts below 2**53 convert to float exactly, so dividing by 1e6
@@ -143,10 +142,15 @@ def _iso_seconds(stamps: np.ndarray) -> Optional[np.ndarray]:
     """Epoch seconds of a column of ISO-8601 stamps, or None when a stamp needs the per-row parser.
 
     Each distinct shape of the column (digits written as 9) must be one of
-    ``_ISO_SHAPE``'s; the fields are then read from the digits' byte codes.
+    ``_ISO_SHAPE``'s.  numpy's datetime64 parser then reads each stamp's bytes
+    up to the zone, rejecting an out-of-range field as fromisoformat does,
+    and a ``±hh:mm`` offset is read from its four digits.
     """
     codes = stamps.view(np.uint8).reshape(stamps.size, stamps.itemsize)
-    shapes = np.where((codes >= 48) & (codes <= 57), 57, codes).view(stamps.dtype).ravel()
+    shapes = codes - 48  # wraps, so the digits are the only codes left below 10
+    np.maximum(shapes, 9, out=shapes)
+    shapes += 48
+    shapes = shapes.view(stamps.dtype).ravel()
     micros = np.empty(stamps.size, dtype=np.int64)
     kinds = {shapes[0], *np.unique(shapes[shapes != shapes[0]]).tolist()}
     for shape in kinds:
@@ -155,29 +159,21 @@ def _iso_seconds(stamps: np.ndarray) -> Optional[np.ndarray]:
             return None
         rows = shapes == shape if len(kinds) > 1 else slice(None)
         block = codes[rows]
-
-        def number(name):
-            value = 0
-            for i in range(*match.span(name)):  # an absent field spans (-1, -1) and reads 0
-                value = value * 10 + block[:, i].astype(np.int64) - ord("0")
-            return value
-
-        year, month, day = number("year"), number("month"), number("day")
-        hour, minute, second = number("hour"), number("minute"), number("second")
-        zone_hour, zone_minute = number("zone_hour"), number("zone_minute")
-        first = (year - 1970).astype("datetime64[Y]").astype("datetime64[M]") + (month - 1)
-        month_start = first.astype("datetime64[D]").astype(np.int64)
-        month_days = (first + 1).astype("datetime64[D]").astype(np.int64) - month_start
-        ranges = [year >= 1, month >= 1, month <= 12, day >= 1, day <= month_days, hour <= 23]
-        ranges += [minute <= 59, second <= 59, zone_hour <= 23, zone_minute <= 59]
-        if not all(np.all(ok) for ok in ranges):
+        local = match.start("zone") if match.group("zone") else len(shape)
+        try:  # numpy warns on a zone, so it never sees one
+            when = block[:, :local].view(f"S{local}").astype("datetime64[us]").view(np.int64).ravel()
+        except ValueError:
             return None
-        zone = zone_hour * 60 + zone_minute
-        if match.start("zone") >= 0:
-            zone = np.where(block[:, match.start("zone")] == ord("-"), -zone, zone)
-        fraction = number("fraction") * 10 ** (6 - len(match.group("fraction") or ""))
-        minutes = ((month_start + day - 1) * 24 + hour) * 60 + minute - zone
-        micros[rows] = (minutes * 60 + second) * 10**6 + fraction
+        if match.group("zone") not in (None, "Z"):
+            digits = block[:, local + 1 :].astype(np.int64) - ord("0")  # h, h, the colon, m, m
+            hours, minutes = digits[:, 0] * 10 + digits[:, 1], digits[:, 3] * 10 + digits[:, 4]
+            if hours.max() > 23 or minutes.max() > 59:
+                return None
+            offset = (hours * 60 + minutes) * 60_000_000
+            when -= np.where(block[:, local] == ord("-"), -offset, offset)
+        micros[rows] = when
+    # this also declines every stamp more than about 285 years from 1970: year
+    # 0, which numpy reads, and a year-1 stamp whose offset moves it into year 0
     if np.abs(micros).max() >= _EXACT_US:
         return None
     return micros / 1e6

@@ -185,3 +185,34 @@ class TestDetection:
         assert 10 not in report.indices
         plain = detect_jumps(path, DetectionConfig(mode=PLAIN), sigma_hat=0.1)
         assert 10 in plain.indices
+
+
+# increments of exactly 0, products that underflow to -0.0, products near
+# the top of the float range and ordinary values
+LEVELS = st.one_of(st.sampled_from([0.0, 1e-200, -1e-200, 1e150, -1e150]), st.floats(-3.0, 3.0))
+
+
+class TestDetectionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(LEVELS, min_size=4, max_size=60),
+        sigma=st.floats(1e-3, 10.0),
+        constant=st.floats(0.1, 8.0),
+    )
+    def test_flag_invariants(self, values, sigma, constant):
+        n = len(values) - 1
+        path = SampledPath(GridSpec(n, 1.0), values)
+        plain = detect_jumps(path, DetectionConfig(constant=constant, mode=PLAIN), sigma_hat=sigma)
+        filtered = detect_jumps(path, DetectionConfig(constant=constant, mode=SIGN_FILTERED), sigma_hat=sigma)
+        incr = path.increments()
+        # the full-mask form: every increment tested, the last one never opposite
+        opposite = np.zeros(n, dtype=bool)
+        opposite[:-1] = incr[:-1] * incr[1:] < 0
+        exceed = np.abs(incr) > plain.threshold_abs
+        assert np.array_equal(plain.indices, np.flatnonzero(exceed) + 1)
+        assert np.array_equal(filtered.indices, np.flatnonzero(exceed & opposite) + 1)
+        assert np.isin(filtered.indices, plain.indices).all()
+        assert n not in filtered.indices
+        for report in (plain, filtered):
+            assert report.count == report.indices.size
+            assert np.array_equal(report.increments, incr[report.indices - 1])

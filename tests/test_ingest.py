@@ -5,6 +5,7 @@ The tests use the names ``spikelab.cli`` exposes (``load_spot_csv``,
 any module layout behind the command line.
 """
 
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -102,7 +103,7 @@ class TestRejected:
 
     def test_numpy_only_calendar_forms_rejected(self, tmp_path):
         # numpy reads these as dates; datetime.fromisoformat does not
-        for stamp in ("now", "2016-01", "+2016-01-01", "2016-01-01T00:00:00."):
+        for stamp in ("now", "2016-01", "+2016-01-01", "2016-01-01T00:00:00.", "0000-01-01T00:00:00"):
             with pytest.raises(IngestError, match="cannot parse timestamp"):
                 load(tmp_path, "t,price\n" + "\n".join(HOURLY) + f"\n{stamp},1.0\n")
 
@@ -359,3 +360,25 @@ class TestBulkMatchesRows:
         assert report.calendar_timestamps and report.rows_read == 30
         assert (report.step, report.span) == (3600.0, 29 * 3600.0)
         assert np.array_equal(series.values, np.arange(30) * 0.5)
+
+    def test_zone_suffixes_never_reach_numpy(self, ingest, tmp_path):
+        # numpy warns on a zone suffix; the bulk pass strips it first
+        stamps = ["2016-01-01T00:00:00Z", "2016-01-01T02:00:00+01:00", "2015-12-31T21:00:00-05:00"]
+        path = write(tmp_path, "t,price\n" + "".join(f"{s},{i}.0\n" for i, s in enumerate(stamps)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bulk = ingest._read_columns(path, 0, 1, 1)
+        assert bulk is not None
+        assert bulk[0].tolist() == [1451606400.0, 1451610000.0, 1451613600.0]
+        assert bulk[0].tobytes() == ingest._read_rows(path, 0, 1)[0].tobytes()
+
+    def test_offset_before_year_one_takes_row_reader(self, ingest, tmp_path):
+        # the first stamp is 0000-12-31T23:00 UTC: fromisoformat reads it, the bulk pass declines it
+        stamps = [f"0001-01-01T0{h}:00:00+01:00" for h in range(3)]
+        path = write(tmp_path, "t,price\n" + "".join(f"{s},{i}.0\n" for i, s in enumerate(stamps)))
+        assert ingest._read_columns(path, 0, 1, 1) is None
+        times, _, _, calendar = ingest._read_rows(path, 0, 1)
+        assert calendar and times[0] == -62135600400.0
+        series, report = load_spot_csv(path, IngestRules())
+        assert np.array_equal(series.values, [0.0, 1.0, 2.0])
+        assert (report.step, report.span, report.calendar_timestamps) == (3600.0, 7200.0, True)
