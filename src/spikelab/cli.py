@@ -54,28 +54,12 @@ __all__ = ["IngestRules", "IngestReport", "IngestError", "load_spot_csv", "dispa
 # ---------------------------------------------------------------------------
 
 
-def _write_simulation_csv(path: str, sim, grid: GridSpec) -> None:
-    times = grid.times()
+def _write_columns(path: str, header: List[str], *columns) -> None:
+    """CSV of equal-length float columns; each value is written as its repr."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["t", "X", "Xc", "Z"])
-        for i in range(grid.n + 1):
-            writer.writerow(
-                [
-                    repr(float(times[i])),
-                    repr(float(sim.observed.values[i])),
-                    repr(float(sim.continuous.values[i])),
-                    repr(float(sim.spike.values[i])),
-                ]
-            )
-
-
-def _write_truth_csv(path: str, truth) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t_jump", "size"])
-        for rec in truth:
-            writer.writerow([repr(rec.time), repr(rec.size)])
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(column, dtype=float).tolist() for column in columns)))
 
 
 def _cmd_simulate(args) -> int:
@@ -83,9 +67,10 @@ def _cmd_simulate(args) -> int:
     model = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
     sim = simulate_spot(model, grid, make_rng(args.seed))
-    _write_simulation_csv(args.out, sim, grid)
+    columns = grid.times(), sim.observed.values, sim.continuous.values, sim.spike.values
+    _write_columns(args.out, ["t", "X", "Xc", "Z"], *columns)
     truth_path = args.truth_out or args.out + ".truth.csv"
-    _write_truth_csv(truth_path, sim.truth)
+    _write_columns(truth_path, ["t_jump", "size"], [rec.time for rec in sim.truth], [rec.size for rec in sim.truth])
     if args.json:
         print(json.dumps({"out": args.out, "truth": truth_path, "n": grid.n, "jumps": len(sim.truth)}))
     else:
@@ -99,15 +84,9 @@ def _ingest_rules(args) -> IngestRules:
     return IngestRules(args.time_col, args.price_col, args.step, gap_policy=gap, dedup_policy=dedup)
 
 
-def _detection_config(args) -> DetectionConfig:
-    mode = SIGN_FILTERED if args.mode == "signfiltered" else PLAIN
-    return DetectionConfig(
-        constant=args.C, exponent=args.varpi, mpv_order=args.mpv_order, mode=mode
-    )
-
-
 def _detect_with_flags(path, args):
-    report = detect_jumps(path, _detection_config(args))
+    config = DetectionConfig(constant=args.C, exponent=args.varpi, mpv_order=args.mpv_order, mode=args.mode)
+    report = detect_jumps(path, config)
     if args.min_gap > 1:
         report = apply_min_gap(report, args.min_gap)
     return report
@@ -145,6 +124,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.horizon_years is not None and not 0 < args.horizon_years < float("inf"):
+        raise ValueError(f"--horizon-years must be positive and finite, got {args.horizon_years!r}")
     path, ingest = load_spot_csv(args.infile, _ingest_rules(args))
     report = _detect_with_flags(path, args)
     est = estimate_spikes(path, report)
@@ -231,11 +212,16 @@ def _exercise_times(spec_text: str, grid: GridSpec) -> np.ndarray:
     raise ValueError(f"unknown exercise spec {spec_text!r}; use 'hourly' or 'csv:<file>'")
 
 
-def _cmd_price_strip(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+def _two_factor(cfg, command: str) -> TwoFactorDynamics:
     continuous = cfgmod.build_continuous(cfg)
     if not isinstance(continuous, TwoFactorDynamics):
-        raise ValueError("price-strip needs cont.kind = twofactor in the config")
+        raise ValueError(f"{command} needs cont.kind = twofactor in the config")
+    return continuous
+
+
+def _cmd_price_strip(args) -> int:
+    cfg = cfgmod.load_config(args.config)
+    continuous = _two_factor(cfg, "price-strip")
     grid = cfgmod.build_grid(cfg)
     spikes = None if args.no_spikes else cfgmod.build_spike_params(cfg)
     spec = StripOptionSpec(
@@ -292,9 +278,7 @@ def _cmd_study_estimation(args) -> int:
 
 def _cmd_study_pricing(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    continuous = cfgmod.build_continuous(cfg)
-    if not isinstance(continuous, TwoFactorDynamics):
-        raise ValueError("study-pricing needs cont.kind = twofactor in the config")
+    continuous = _two_factor(cfg, "study-pricing")
     grid = cfgmod.build_grid(cfg)
     strikes = tuple(float(s) for s in args.strikes.split(","))
     study = PricingStudyConfig(
@@ -348,7 +332,7 @@ def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_detection_flags(parser: argparse.ArgumentParser, include_mode: bool = True) -> None:
     if include_mode:
-        parser.add_argument("--mode", choices=["plain", "signfiltered"], default="signfiltered")
+        parser.add_argument("--mode", choices=(PLAIN, SIGN_FILTERED), default=SIGN_FILTERED)
         parser.add_argument(
             "--min-gap", type=int, default=0, help="post-filter: minimum index gap between flags (off by default)"
         )

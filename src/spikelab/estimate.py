@@ -263,28 +263,22 @@ def asymptotic_diagnostics(
     )
 
 
-def estimate_spikes(
-    path: SampledPath,
-    report: DetectionReport,
-    moment_orders: Sequence[int] = (1, 2),
-    with_diagnostics: bool = True,
-) -> SpikeEstimates:
-    """Full estimation pass: intensity, reversion, moments and diagnostics."""
+def estimate_spikes(path: SampledPath, report: DetectionReport) -> SpikeEstimates:
+    """Full estimation pass: intensity, reversion, the first two moments and diagnostics."""
     grid = path.grid
     lam, ci = estimate_lambda(report, grid)
     beta = estimate_beta(path, report)
-    moments = {m: estimate_jump_moments(path, report, beta.beta_hat, m) for m in moment_orders}
+    moments = {m: estimate_jump_moments(path, report, beta.beta_hat, m) for m in (1, 2)}
 
     diagnostics = None
-    if with_diagnostics and lam > 0 and beta.beta_hat > 0:
+    if lam > 0 and beta.beta_hat > 0:
         incr = path.increments()
         detected = incr[np.asarray(report.indices, dtype=int) - 1]
-        signed1 = moments[1] if 1 in moments else estimate_jump_moments(path, report, beta.beta_hat, 1)
         abs_raw = float(np.mean(np.abs(detected)))
         abs_sq = float(np.mean(detected**2))
         bd = beta.beta_hat * grid.mesh
         plug = {
-            "signed1": signed1,
+            "signed1": moments[1],
             # same decay correction applied to the absolute moments
             "abs1": abs_raw * bd / (-np.expm1(-bd)),
             "abs2": abs_sq * 2.0 * bd / (-np.expm1(-2.0 * bd)),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,10 +130,6 @@ def _estimation_block(config: StudyConfig, pair_idx: int, lo: int, hi: int) -> L
     return results
 
 
-def _block_star(args):
-    return _estimation_block(*args)
-
-
 def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> List[StudyRow]:
     """Run the ensemble for every pair and mode; deterministic per master seed.
 
@@ -160,7 +156,7 @@ def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> 
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_block_star, tasks))
+            blocks = list(pool.map(_estimation_block, *zip(*tasks)))
     else:
         blocks = [_estimation_block(*task) for task in tasks]
     replications = [result for block in blocks for result in block]
@@ -272,36 +268,15 @@ def run_pricing_study(config: PricingStudyConfig) -> List[PricingStudyRow]:
 # Output formats
 # ---------------------------------------------------------------------------
 
-_STUDY_FIELDS = [
-    "intensity",
-    "reversion",
-    "mode",
-    "mean_lambda",
-    "lambda_q05",
-    "lambda_q95",
-    "mean_beta",
-    "beta_q05",
-    "beta_q95",
-    "replications",
-    "undefined_count",
-    "floored_count",
-]
-
-
 def study_rows_to_csv(rows: Sequence[StudyRow], path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_STUDY_FIELDS)
-        for row in rows:
-            writer.writerow([repr(getattr(row, f)) if isinstance(getattr(row, f), float) else getattr(row, f) for f in _STUDY_FIELDS])
+        writer.writerow([f.name for f in fields(StudyRow)])
+        writer.writerows(map(astuple, rows))
 
 
 def study_summary(rows: Sequence[StudyRow]) -> dict:
-    return {
-        "rows": [
-            {field: getattr(row, field) for field in _STUDY_FIELDS} for row in rows
-        ]
-    }
+    return {"rows": [asdict(row) for row in rows]}
 
 
 def pricing_rows_to_csv(rows: Sequence[PricingStudyRow], path: str) -> None:

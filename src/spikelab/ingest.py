@@ -112,7 +112,7 @@ def _parse_timestamp(text: str) -> Tuple[float, bool]:
 
 
 def _read_rows(path: str, ts_idx: int, px_idx: int):
-    """(times, prices, stamp texts, calendar) row by row; the reference for ``_read_columns``."""
+    """(times, prices, stamps as UTF-8 bytes, calendar) row by row; the reference for ``_read_columns``."""
     times, prices, texts, calendar = [], [], [], False
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -134,7 +134,7 @@ def _read_rows(path: str, ts_idx: int, px_idx: int):
             calendar = is_cal
             times.append(stamp)
             prices.append(price)
-            texts.append(text)
+            texts.append(text.encode())
     return np.asarray(times, dtype=float), np.asarray(prices, dtype=float), texts, calendar
 
 
@@ -239,9 +239,8 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
         raise IngestError(f"{path}: need at least 3 rows, got {rows_read}")
     rows = np.arange(rows_read)  # each kept value's 0-based data row
 
-    def text(row: int) -> str:  # a row's timestamp as written; the bulk pass keeps ASCII bytes
-        stamp = texts[row]
-        return stamp.decode() if isinstance(stamp, bytes) else stamp
+    def text(row: int) -> str:  # a row's timestamp as written; both readers keep its bytes
+        return texts[row].decode()
 
     def where(i: int) -> str:
         row = rows[i]

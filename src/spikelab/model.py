@@ -408,14 +408,11 @@ class TwoFactorParams:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
 
     def log_variance(self, t):
-        """Variance v(t) of sigma_l W_t + sigma_s Y_t (Y the short OU factor)."""
-        t = np.asarray(t, dtype=float)
-        a = self.alpha
-        return (
-            self.sigma_l**2 * t
-            + self.sigma_s**2 * -np.expm1(-2.0 * a * t) / (2.0 * a)
-            + 2.0 * self.rho * self.sigma_l * self.sigma_s * -np.expm1(-a * t) / a
-        )
+        """Variance v(t) of sigma_l W_t + sigma_s Y_t (Y the short OU factor).
+
+        It is the forward log-variance at maturity t, whose decay factor is exactly 1.
+        """
+        return self.forward_log_variance(t, t)
 
     def forward_log_variance(self, t, maturity):
         """Variance of log f(t, maturity) around log f(0, maturity)."""

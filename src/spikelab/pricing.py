@@ -235,6 +235,8 @@ def strip_payoffs(
         raise ValueError("only the last of the spike settings may have spikes")
     if antithetic and num_sims % 2:
         raise ValueError("antithetic pricing needs an even number of simulations")
+    if antithetic and num_sims < 4:  # one pair is one unit, which has no spread
+        raise ValueError(f"antithetic pricing needs at least 4 simulations (2 pairs), got {num_sims}")
     units = [[] for _ in settings]
     remaining = num_sims
     while remaining > 0:

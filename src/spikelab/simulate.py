@@ -81,9 +81,7 @@ __all__ = [
 
 def make_rng(seed) -> np.random.Generator:
     """Counter-based generator from an integer seed or SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def child_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
@@ -113,19 +111,14 @@ def interval_index(time, grid: GridSpec):
     """Index i in 1..n with t_{i-1} < time <= t_i on the grid.
 
     Elementwise for an array of times (returns an integer array); a scalar
-    time gives an int.  Robust against floating roundoff in time / mesh near
-    grid points.
+    time gives an int.  The search compares with the grid times themselves,
+    so no roundoff in time / mesh moves a time near a grid point; times at
+    or below 0 give 1 and times past the horizon give n.
     """
-    mesh, n = grid.mesh, grid.n
     time = np.asarray(time, dtype=float)
     if not np.isfinite(time).all():
         raise ValueError("jump times must be finite")
-    i = np.minimum(np.maximum(np.floor(time / mesh).astype(np.int64) + 1, 1), n)
-    # settle boundary roundoff by direct comparison with the grid times
-    while np.any(low := (i > 1) & ((i - 1) * mesh >= time)):
-        i = i - low
-    while np.any(high := (i < n) & (i * mesh < time)):
-        i = i + high
+    i = np.clip(np.searchsorted(grid.times(), time), 1, grid.n)
     return int(i) if i.ndim == 0 else i
 
 

@@ -171,6 +171,22 @@ class TestDispatch:
         assert captured.err == "spikelab: workers must be at least 1, got 0\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("years", ["-1", "nan", "inf", "0"])
+    def test_bad_horizon_years_exits_one(self, tmp_path, capsys, years):
+        path = write_csv(tmp_path, [f"{t},{30.0 + t % 2}" for t in range(10)])
+        status = dispatch(["estimate", "--in", path, f"--horizon-years={years}", "--json"])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err == f"spikelab: --horizon-years must be positive and finite, got {float(years)!r}\n"
+
+    @pytest.mark.parametrize("command", ["price-strip", "study-pricing"])
+    def test_antithetic_single_pair_exits_one(self, two_factor_config, tmp_path, capsys, command):
+        extra = ["--strike", "40"] if command == "price-strip" else ["--out", str(tmp_path / "out")]
+        status = dispatch([command, "--config", two_factor_config, "--sims", "2", "--antithetic", *extra])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err == "spikelab: antithetic pricing needs at least 4 simulations (2 pairs), got 2\n"
+
     def test_missing_file_exits_one(self, capsys):
         status = dispatch(["estimate", "--in", "does-not-exist.csv"])
         assert status == 1

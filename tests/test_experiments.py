@@ -1,5 +1,6 @@
 """Study harness: determinism, aggregation and output formats."""
 
+import csv
 import json
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -13,6 +14,7 @@ from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig
 from spikelab.experiments import (
     PricingStudyConfig,
     StudyConfig,
+    StudyRow,
     pricing_rows_to_csv,
     resolve_workers,
     run_estimation_study,
@@ -77,6 +79,22 @@ class TestEstimationStudy:
         summary = study_summary(rows)
         assert json.dumps(summary)  # serializable
         assert summary["rows"][0]["replications"] == 2
+
+    def test_csv_floats_read_back_exactly(self, tmp_path):
+        value = 0.1 + 0.2  # 0.30000000000000004: 17 significant digits
+        row = StudyRow(value, 200.0, PLAIN, value, value, value, value, value, value, 2, 0, 1)
+        csv_path = tmp_path / "study.csv"
+        study_rows_to_csv([row], str(csv_path))
+        with open(csv_path, newline="") as handle:
+            header, fields = csv.reader(handle)
+        assert header == [
+            "intensity", "reversion", "mode", "mean_lambda", "lambda_q05", "lambda_q95",
+            "mean_beta", "beta_q05", "beta_q95", "replications", "undefined_count", "floored_count",
+        ]
+        assert list(study_summary([row])["rows"][0]) == header
+        assert fields[:3] == ["0.30000000000000004", "200.0", PLAIN]
+        assert [float(x) for x in fields[3:9]] == [value] * 6
+        assert fields[9:] == ["2", "0", "1"]
 
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):

@@ -289,6 +289,18 @@ class TestStripPricing:
         with pytest.raises(ValueError):
             price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec, antithetic=True)
 
+    def test_antithetic_needs_two_pairs(self):
+        # one pair is one payoff unit, whose sample deviation is undefined
+        grid, spec = tiny_strip_spec(40.0, sims=2)
+        with pytest.raises(ValueError, match="at least 4 simulations .*got 2"):
+            strip_payoffs(MARKET_TF, self.CURVE, (None,), grid, spec.exercise_times, (40.0,), 2, make_rng(0), True)
+
+    def test_antithetic_two_pairs_give_a_finite_ci(self):
+        grid, spec = tiny_strip_spec(40.0, sims=4)
+        price = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, grid, spec, antithetic=True)
+        assert np.all(np.isfinite([price.estimate, price.stderr, *price.ci95]))
+        assert price.stderr > 0
+
     def test_reported_stderr_matches_dispersion(self):
         # chi-square check: scatter of repeated estimates vs reported stderr
         grid = GridSpec(30, 1.0)

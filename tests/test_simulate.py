@@ -350,6 +350,13 @@ class TestSpot:
         alone = simulate_exp_ou(spec, grid, make_rng(5).spawn(2)[0])
         assert sim.continuous.values.tobytes() == alone.values.tobytes()
 
+    @pytest.mark.parametrize("n", [300, 40_000])  # 40,000 columns: two chunks of one path
+    def test_two_factor_leg_is_simulate_two_factor_on_the_first_child_stream(self, n):
+        grid, dynamics = GridSpec(n, 1.0), TwoFactorDynamics(MARKET_TF, ForwardCurve.flat(40.0))
+        sim = simulate_spot(ModelSpec(dynamics, SpikeParams(40.0, 50.0, STUDY_LAW)), grid, make_rng(5))
+        alone = simulate_two_factor(MARKET_TF, dynamics.curve, grid, make_rng(5).spawn(2)[0], 1)[0]
+        assert sim.continuous.values.tobytes() == alone.tobytes()
+
     def test_fixed_seed_reproducibility(self):
         grid = GridSpec(1_000, 1.0)
         model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 200.0, STUDY_LAW))
@@ -655,6 +662,30 @@ class TestIntervalIndex:
         grid = GridSpec(10, 1.0)
         taus, expected = zip(*self.CASES)
         assert interval_index(np.array(taus), grid).tolist() == list(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 10**6), horizon=st.floats(1e-3, 1e3), data=st.data())
+    def test_grid_times_and_their_neighbours(self, n, horizon, data):
+        grid = GridSpec(n, horizon)
+        mesh, i = grid.mesh, data.draw(st.integers(0, n))
+        for time in (np.nextafter(i * mesh, -np.inf), i * mesh, np.nextafter(i * mesh, np.inf)):
+            # the index that comparisons with the grid times k * mesh define
+            if time <= 0.0:
+                expected = 1
+            elif time > n * mesh:
+                expected = n
+            else:
+                near = range(max(i - 1, 1), min(i + 2, n) + 1)
+                (expected,) = [k for k in near if (k - 1) * mesh < time <= k * mesh]
+            assert interval_index(float(time), grid) == expected
+            assert interval_index(np.array([time]), grid).tolist() == [expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 1_000), below=st.floats(-1e300, 0.0), above=st.floats(2.0, 1e300))
+    def test_times_outside_the_grid_clamp(self, n, below, above):
+        grid = GridSpec(n, 1.0)
+        assert interval_index(below, grid) == 1
+        assert interval_index(np.array([below, above]), grid).tolist() == [1, n]
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, tau):
