@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 import numpy as np
@@ -28,7 +29,6 @@ from .experiments import (
     PricingStudyConfig,
     StudyConfig,
     pricing_rows_to_csv,
-    resolve_workers,
     run_estimation_study,
     run_pricing_study,
     study_rows_to_csv,
@@ -141,18 +141,10 @@ def _cmd_estimate(args) -> int:
         "threshold_abs": report.threshold_abs,
         "mode": report.mode,
         "moments": {str(m): v for m, v in est.moment_estimates.items()},
-        "flags": {
-            "undefined": est.flags.undefined,
-            "floored": est.flags.floored,
-            "boundary_drops": est.flags.boundary_drops,
-        },
+        "flags": asdict(est.flags),
     }
     if est.diagnostics is not None:
-        payload["diagnostics"] = {
-            "bias_term": est.diagnostics.bias_term,
-            "error_components": list(est.diagnostics.error_components),
-            "relative_error_bound": est.diagnostics.relative_error_bound,
-        }
+        payload["diagnostics"] = asdict(est.diagnostics)
     if years:
         payload["per_year"] = {"lambda_hat": est.lambda_hat / years, "beta_hat": est.beta_hat / years}
 
@@ -249,9 +241,6 @@ def _cmd_price_strip(args) -> int:
 def _cmd_study_estimation(args) -> int:
     cfg = cfgmod.load_config(args.config)
     modes = tuple(args.modes.split(",")) if args.modes else (PLAIN, SIGN_FILTERED)
-    for mode in modes:
-        if mode not in (PLAIN, SIGN_FILTERED):
-            raise ValueError(f"unknown mode {mode!r}")
     study = StudyConfig(
         pairs=tuple(cfgmod.build_study_pairs(cfg)),
         replications=args.reps,
@@ -262,7 +251,7 @@ def _cmd_study_estimation(args) -> int:
         master_seed=args.seed,
         modes=modes,
     )
-    rows = run_estimation_study(study, workers=resolve_workers(args.workers))
+    rows = run_estimation_study(study, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "estimation_study.csv")
     json_path = os.path.join(args.out, "estimation_study.json")
@@ -422,7 +411,7 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"spikelab: {exc}", file=sys.stderr)
         return 1
 

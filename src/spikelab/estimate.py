@@ -124,13 +124,13 @@ def _invert_slope(num: float, den: float, mesh: float) -> Tuple[float, float, bo
 
 
 def estimate_beta(path: SampledPath, report: DetectionReport) -> BetaEstimate:
-    """Feasible reversion-speed estimator from detected jump increments."""
+    """Feasible reversion-speed estimator from the report's increments; the path gives their successors."""
     n, mesh = path.grid.n, path.grid.mesh
     if report.count == 0:
         return BetaEstimate(0.0, 0.0, EstimateFlags(undefined=True))
     incr = path.increments()
     idx = np.asarray(report.indices, dtype=int)
-    detected = incr[idx - 1]
+    detected = report.increments
     signs = sign(detected)
     succ = incr.take(idx, mode="wrap")  # an index at n (no successor) reads a value zeroed below
     no_succ = idx >= n
@@ -199,41 +199,37 @@ def estimate_jump_moments(
     """
     if report.count == 0 or not beta_hat > 0:
         return None
-    mesh = path.grid.mesh
-    incr = path.increments()
-    detected = incr[np.asarray(report.indices, dtype=int) - 1]
-    mbd = m * beta_hat * mesh
+    mbd = m * beta_hat * path.grid.mesh
     correction = mbd / (-np.expm1(-mbd))
-    return float(correction * np.sum(detected**m) / report.count)
+    return float(correction * np.sum(report.increments**m) / report.count)
 
 
 def asymptotic_diagnostics(
     lambda_hat: float,
     beta_hat: float,
     grid: GridSpec,
-    moments: Dict[str, float],
     sigma_sq_integral: float,
+    *,
+    signed1: float,
+    abs1: float,
+    abs2: float,
+    sign_mass: float,
 ) -> AsymptoticDiagnostics:
     """Plug-in bias term M and error scales V1..V4 of the reversion estimator.
 
-    ``moments`` must provide "signed1" (x integrated against the law),
-    "abs1", "abs2" and "sign" (the sign mass).  ``sigma_sq_integral`` is the
-    integrated variance of the continuous part (sigma_hat^2 in practice).
+    The plug-ins are the law's signed first moment ``signed1`` (x integrated
+    against the law), its absolute moments ``abs1`` and ``abs2``, and its
+    ``sign_mass``.  ``sigma_sq_integral`` is the integrated variance of the
+    continuous part (sigma_hat^2 in practice).
 
     The V1 expression takes the square root of a moment combination that is
     not a variance and can turn negative for legitimate laws; it is clamped
     at zero before the root so the diagnostic stays a finite real.
     """
-    for key in ("signed1", "abs1", "abs2", "sign"):
-        if key not in moments:
-            raise ValueError(f"missing moment {key!r} in diagnostics plug-ins")
     lam, beta, mesh = lambda_hat, beta_hat, grid.mesh
     if not (lam > 0 and beta > 0 and sigma_sq_integral >= 0):
         raise ValueError("diagnostics need positive intensity/reversion plug-ins")
-    x1 = moments["signed1"]
-    a1 = moments["abs1"]
-    a2 = moments["abs2"]
-    sg = moments["sign"]
+    x1, a1, a2, sg = signed1, abs1, abs2, sign_mass
     if not a1 > 0:
         raise ValueError("diagnostics need a positive absolute first moment")
 
@@ -272,20 +268,18 @@ def estimate_spikes(path: SampledPath, report: DetectionReport) -> SpikeEstimate
 
     diagnostics = None
     if lam > 0 and beta.beta_hat > 0:
-        incr = path.increments()
-        detected = incr[np.asarray(report.indices, dtype=int) - 1]
-        abs_raw = float(np.mean(np.abs(detected)))
-        abs_sq = float(np.mean(detected**2))
+        detected = report.increments
         bd = beta.beta_hat * grid.mesh
-        plug = {
-            "signed1": moments[1],
-            # same decay correction applied to the absolute moments
-            "abs1": abs_raw * bd / (-np.expm1(-bd)),
-            "abs2": abs_sq * 2.0 * bd / (-np.expm1(-2.0 * bd)),
-            "sign": float(np.mean(sign(detected))),
-        }
         diagnostics = asymptotic_diagnostics(
-            lam, beta.beta_hat, grid, plug, report.sigma_hat**2
+            lam,
+            beta.beta_hat,
+            grid,
+            report.sigma_hat**2,
+            signed1=moments[1],
+            # same decay correction applied to the absolute moments
+            abs1=float(np.mean(np.abs(detected))) * bd / (-np.expm1(-bd)),
+            abs2=float(np.mean(detected**2)) * 2.0 * bd / (-np.expm1(-2.0 * bd)),
+            sign_mass=float(np.mean(sign(detected))),
         )
 
     return SpikeEstimates(

@@ -19,7 +19,7 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +85,9 @@ class StudyConfig:
     modes: Tuple[str, ...] = (PLAIN, SIGN_FILTERED)
 
     def __post_init__(self):
+        for mode in self.modes:
+            if mode not in (PLAIN, SIGN_FILTERED):
+                raise ValueError(f"unknown mode {mode!r}")
         if self.replications < 2:
             raise ValueError("need at least 2 replications")
         object.__setattr__(self, "pairs", tuple((float(a), float(b)) for a, b in self.pairs))
@@ -111,22 +114,23 @@ class StudyRow:
     floored_count: int
 
 
-def _estimation_block(config: StudyConfig, pair_idx: int, lo: int, hi: int) -> List[Dict[str, Tuple]]:
-    """Replications lo..hi-1 of one pair: simulate them in blocks, estimate each under every mode."""
+def _estimation_block(config: StudyConfig, pair_idx: int, lo: int, hi: int) -> np.ndarray:
+    """Replications lo..hi-1 of one pair: simulate them in blocks, estimate each under every mode.
+
+    Row r - lo holds, for each mode in order, (lambda_hat, beta_hat, undefined, floored).
+    """
     lam, beta = config.pairs[pair_idx]
     model = ModelSpec(config.continuous, SpikeParams(lam, beta, config.law))
     rngs = (make_rng(child_seed(config.master_seed, pair_idx, rep)) for rep in range(lo, hi))
-    detections = [(mode, replace(config.detection, mode=mode)) for mode in config.modes]
-    results = []
-    for path in observed_rows(model, config.grid, rngs):
+    detections = [replace(config.detection, mode=mode) for mode in config.modes]
+    results = np.empty((hi - lo, len(detections), 4))
+    for row, path in zip(results, observed_rows(model, config.grid, rngs)):
         sigma_hat = multipower_variation(path, config.detection.mpv_order)
-        out = {}
-        for mode, detection in detections:
+        for cell, detection in zip(row, detections):
             report = detect_jumps(path, detection, sigma_hat)
             lam_hat, _ = estimate_lambda(report, config.grid)
             est = estimate_beta(path, report)
-            out[mode] = (lam_hat, est.beta_hat, est.flags.undefined, est.flags.floored)
-        results.append(out)
+            cell[:] = lam_hat, est.beta_hat, est.flags.undefined, est.flags.floored
     return results
 
 
@@ -159,15 +163,12 @@ def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> 
             blocks = list(pool.map(_estimation_block, *zip(*tasks)))
     else:
         blocks = [_estimation_block(*task) for task in tasks]
-    replications = [result for block in blocks for result in block]
+    replications = np.concatenate(blocks)
     rows: List[StudyRow] = []
     for pair_idx, (lam, beta) in enumerate(config.pairs):
         results = replications[pair_idx * reps : (pair_idx + 1) * reps]
-        for mode in config.modes:
-            lam_hats = np.array([r[mode][0] for r in results])
-            beta_hats = np.array([r[mode][1] for r in results])
-            undefined = sum(int(r[mode][2]) for r in results)
-            floored = sum(int(r[mode][3]) for r in results)
+        for mode_idx, mode in enumerate(config.modes):
+            lam_hats, beta_hats, undefined, floored = results[:, mode_idx].T
             rows.append(
                 StudyRow(
                     intensity=lam,
@@ -180,8 +181,8 @@ def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> 
                     beta_q05=float(np.quantile(beta_hats, 0.05)),
                     beta_q95=float(np.quantile(beta_hats, 0.95)),
                     replications=config.replications,
-                    undefined_count=undefined,
-                    floored_count=floored,
+                    undefined_count=int(undefined.sum()),
+                    floored_count=int(floored.sum()),
                 )
             )
     return rows

@@ -218,7 +218,7 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
     forward filled under ``forward_fill_max_1`` and anything larger is an
     error naming the first missing timestamp.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # an Excel file's byte-order mark is not a name
         reader = csv.reader(handle)
         fields = next(reader, None)
         header_lines = reader.line_num

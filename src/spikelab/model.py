@@ -205,10 +205,10 @@ class SignedExponentialMixture(JumpLaw):
         object.__setattr__(self, "signs", s)
         if not (len(w) == len(b) == len(s)) or len(w) == 0:
             raise ValueError("weights, rates and signs must have equal nonzero length")
-        if abs(sum(w) - 1.0) > 1e-12 or any(x < 0 for x in w):
+        if not (all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-12):
             raise ValueError(f"weights must be a probability vector, got {w}")
-        if any(x <= 0 for x in b):
-            raise ValueError(f"rates must be positive, got {b}")
+        if not all(0 < x < math.inf for x in b):
+            raise ValueError(f"rates must be positive and finite, got {b}")
         if any(x not in (-1, 1) for x in s):
             raise ValueError(f"signs must be +-1, got {s}")
 
@@ -379,10 +379,13 @@ class ExpOU:
     initial: float = 1.0
 
     def __post_init__(self):
-        if not self.vol > 0:
-            raise ValueError(f"vol must be positive, got {self.vol}")
-        if not self.initial > 0:
-            raise ValueError(f"initial must be positive, got {self.initial}")
+        # a reversion of 0 is the Brownian limit of the log leg
+        if not 0 <= self.reversion < math.inf:
+            raise ValueError(f"reversion must be nonnegative and finite, got {self.reversion}")
+        if not 0 < self.vol < math.inf:
+            raise ValueError(f"vol must be positive and finite, got {self.vol}")
+        if not 0 < self.initial < math.inf:
+            raise ValueError(f"initial must be positive and finite, got {self.initial}")
 
 
 @dataclass(frozen=True)
@@ -390,6 +393,10 @@ class Flat:
     """Constant continuous part (useful for synthetic tests)."""
 
     level: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -402,8 +409,9 @@ class TwoFactorParams:
     rho: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.sigma_s > 0 and self.sigma_l > 0):
-            raise ValueError("alpha, sigma_s and sigma_l must be positive")
+        for name in ("alpha", "sigma_s", "sigma_l"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
 
@@ -446,8 +454,8 @@ class ForwardCurve:
             raise ValueError("breakpoints must be strictly increasing, length >= 2")
         if lv.shape != (bp.size - 1,):
             raise ValueError("need one level per segment")
-        if not np.all(lv > 0):
-            raise ValueError("forward curve must be strictly positive")
+        if not np.all((lv > 0) & (lv < np.inf)):
+            raise ValueError(f"forward curve levels must be positive and finite, got {lv}")
 
     @classmethod
     def flat(cls, level: float, horizon: float = 1.0) -> "ForwardCurve":
@@ -521,19 +529,18 @@ class AssumptionReport:
     thresholds: dict = field(default_factory=dict)
 
 
+# cutoffs standing in for the asymptotic orders: lambda^2 * mesh "small", lambda / beta not "large"
+_SMALL = 0.1
+_LARGE = 10.0
+
+
 def check_assumptions(
-    params: SpikeParams,
-    grid: GridSpec,
-    varpi: float,
-    window: Optional[int] = None,
-    small: float = 0.1,
-    large: float = 10.0,
+    params: SpikeParams, grid: GridSpec, varpi: float, window: Optional[int] = None
 ) -> AssumptionReport:
     """Report the asymptotic-regime magnitudes for (intensity, reversion, mesh).
 
-    ``small`` and ``large`` are the configurable cutoffs standing in for the
-    asymptotic orders; ``window`` is the optional regime-II spacing k (purely
-    diagnostic, it enters no estimator).
+    ``window`` is the optional regime-II spacing k (purely diagnostic, it
+    enters no estimator); the cutoffs are reported in ``thresholds``.
     """
     if not (0 < varpi < 0.5):
         raise ValueError(f"varpi must lie in (0, 1/2), got {varpi}")
@@ -547,9 +554,9 @@ def check_assumptions(
     beta_vs_brownian = beta * mesh ** (0.5 - varpi)
     window_mag = None if window is None else lam_sq_mesh * window**2
 
-    regime_i = (lam_sq_mesh < small) and (beta_mesh < 1.0)
+    regime_i = (lam_sq_mesh < _SMALL) and (beta_mesh < 1.0)
     regime_ii = beta_vs_brownian >= 1.0
-    stability = ratio <= large
+    stability = ratio <= _LARGE
 
     if regime_ii:
         regime = "II"  # preferred where available: robust to reversion artifacts
@@ -569,5 +576,5 @@ def check_assumptions(
         regime_ii_ok=regime_ii,
         stability_ok=stability,
         regime=regime,
-        thresholds={"small": small, "large": large, "varpi": varpi},
+        thresholds={"small": _SMALL, "large": _LARGE, "varpi": varpi},
     )

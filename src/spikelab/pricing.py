@@ -107,14 +107,18 @@ class PriceWithCI:
     stderr: float
 
 
-def forward_spike_arith(z_now: float, params: SpikeParams, t: float, maturity: float) -> float:
-    """Spike correction fb(t, T) to the forward price in the arithmetic model."""
+def _forward_spike(z_now: float, params: SpikeParams, t: float, maturity: float, smear: float) -> float:
+    """Arithmetic spike correction whose decaying part is multiplied by ``smear`` (1 for an instant)."""
     if maturity < t:
         raise ValueError("maturity must not precede the valuation time")
     lam, beta = params.intensity, params.reversion
-    mean_jump = params.law.mean()
     decay = math.exp(-beta * (maturity - t))
-    return decay * z_now + lam * mean_jump / beta * (1.0 - decay)
+    return decay * smear * z_now + lam * params.law.mean() / beta * (1.0 - decay * smear)
+
+
+def forward_spike_arith(z_now: float, params: SpikeParams, t: float, maturity: float) -> float:
+    """Spike correction fb(t, T) to the forward price in the arithmetic model."""
+    return _forward_spike(z_now, params, t, maturity, 1.0)
 
 
 def forward_spike_delivery(
@@ -125,15 +129,10 @@ def forward_spike_delivery(
     Equals the average (1/theta) int_T^{T+theta} fb(t, u) du; the decaying
     part picks up the factor (1 - exp(-beta theta)) / (beta theta).
     """
-    if maturity < t:
-        raise ValueError("maturity must not precede the valuation time")
     if not theta > 0:
         raise ValueError(f"delivery period must be positive, got {theta}")
-    lam, beta = params.intensity, params.reversion
-    mean_jump = params.law.mean()
-    decay = math.exp(-beta * (maturity - t))
-    smear = -math.expm1(-beta * theta) / (beta * theta)
-    return decay * smear * z_now + lam * mean_jump / beta * (1.0 - decay * smear)
+    beta = params.reversion
+    return _forward_spike(z_now, params, t, maturity, -math.expm1(-beta * theta) / (beta * theta))
 
 
 def forward_spike_log(z_now: float, params: SpikeParams, t: float, maturity: float) -> float:

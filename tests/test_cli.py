@@ -179,6 +179,51 @@ class TestDispatch:
         assert status == 1 and captured.out == ""
         assert captured.err == f"spikelab: --horizon-years must be positive and finite, got {float(years)!r}\n"
 
+    @pytest.mark.parametrize(
+        "config_text, argv, message",
+        [
+            pytest.param(
+                MODEL_CFG.replace("jump.rates = 0.0666666666666667, 0.1", "jump.rates = nan, 10"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01", "--json"],
+                "rates must be positive and finite, got (nan, 10.0)",
+                id="nan-rate",
+            ),
+            pytest.param(
+                # 10^15 + 1 float64 values, 7.1 PiB: beyond any user address space, so it fails at once
+                MODEL_CFG.replace("grid.n = 10000", "grid.n = 1000000000000000"),
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "Unable to allocate 7.11 PiB",
+                id="grid-too-large-for-memory",
+            ),
+            pytest.param(
+                MODEL_CFG + "study.pairs = 10:200\n",
+                ["study-estimation", "--config", "{cfg}", "--reps", "2", "--modes", "plain,bogus", "--out", "{tmp}/out"],
+                "unknown mode 'bogus'",
+                id="unknown-mode",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("beta = 200\n", ""),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "missing required config key 'beta'",
+                id="missing-config-key",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["estimate", "--in", "{csv}", "--horizon-years", "-1"],
+                "--horizon-years must be positive and finite, got -1.0",
+                id="negative-horizon-years",
+            ),
+        ],
+    )
+    def test_bad_input_fails_in_one_line(self, tmp_path, capsys, config_text, argv, message):
+        (tmp_path / "model.cfg").write_text(config_text)
+        files = {"cfg": tmp_path / "model.cfg", "csv": write_csv(tmp_path, [f"{t},{30.0 + t % 2}" for t in range(30)])}
+        status = dispatch([arg.format(tmp=tmp_path, **files) for arg in argv])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err.startswith("spikelab: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and message in captured.err
+
     @pytest.mark.parametrize("command", ["price-strip", "study-pricing"])
     def test_antithetic_single_pair_exits_one(self, two_factor_config, tmp_path, capsys, command):
         extra = ["--strike", "40"] if command == "price-strip" else ["--out", str(tmp_path / "out")]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig, DetectionReport, detect_jumps
+from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig, DetectionReport, apply_min_gap, detect_jumps
 from spikelab.estimate import (
     asymptotic_diagnostics,
     estimate_beta,
@@ -211,32 +211,30 @@ class TestDiagnostics:
     GRID = GridSpec(10_000, 1.0)
 
     def moments(self, signed1, abs1, abs2, sgn):
-        return {"signed1": signed1, "abs1": abs1, "abs2": abs2, "sign": sgn}
+        return {"signed1": signed1, "abs1": abs1, "abs2": abs2, "sign_mass": sgn}
 
     def test_symmetric_law_kills_bias(self):
-        diag = asymptotic_diagnostics(10.0, 200.0, self.GRID, self.moments(0.0, 1.0, 2.0, 0.0), 4.0)
+        diag = asymptotic_diagnostics(10.0, 200.0, self.GRID, 4.0, **self.moments(0.0, 1.0, 2.0, 0.0))
         assert diag.bias_term == 0.0
 
     def test_bias_vanishes_with_mesh(self):
         vals = []
         for n in (100, 10_000, 1_000_000):
             grid = GridSpec(n, 1.0)
-            diag = asymptotic_diagnostics(10.0, 20.0, grid, self.moments(0.5, 1.0, 2.0, 0.3), 4.0)
+            diag = asymptotic_diagnostics(10.0, 20.0, grid, 4.0, **self.moments(0.5, 1.0, 2.0, 0.3))
             vals.append(abs(diag.bias_term))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-4
 
     def test_missing_moment_rejected(self):
-        with pytest.raises(ValueError, match="sign"):
-            asymptotic_diagnostics(
-                10.0, 200.0, self.GRID, {"signed1": 0.0, "abs1": 1.0, "abs2": 2.0}, 4.0
-            )
+        with pytest.raises(TypeError, match="sign_mass"):
+            asymptotic_diagnostics(10.0, 200.0, self.GRID, 4.0, signed1=0.0, abs1=1.0, abs2=2.0)
 
     def test_brownian_component_dominates_table_configuration(self):
         # mixture 0.4(-Exp(rate 15)) + 0.6 Exp(rate 10) plug-ins, integrated
         # variance 4: frozen from direct evaluation of the error-scale formulas
         m = self.moments(-0.4 / 15 + 0.6 / 10, 0.4 / 15 + 0.6 / 10, 0.4 * 2 / 225 + 0.6 * 2 / 100, 0.2)
-        diag = asymptotic_diagnostics(10.0, 200.0, self.GRID, m, 4.0)
+        diag = asymptotic_diagnostics(10.0, 200.0, self.GRID, 4.0, **m)
         v1, v2, v3, v4 = diag.error_components
         assert v3 == max(v1, v2, v3, v4)
         assert v3 == pytest.approx(3.7611, rel=1e-3)
@@ -249,12 +247,29 @@ class TestDiagnostics:
         # zero-mean mixture with large second moment drives the first error
         # component's bracket negative; it must clamp to zero, not go complex
         m = self.moments(0.0, 12.0, 300.0, 0.2)
-        diag = asymptotic_diagnostics(10.0, 200.0, self.GRID, m, 4.0)
+        diag = asymptotic_diagnostics(10.0, 200.0, self.GRID, 4.0, **m)
         assert diag.error_components[0] == 0.0
         assert all(np.isfinite(diag.error_components))
 
 
 class TestEstimateSpikes:
+    def test_thinned_report_matches_the_paths_own_increments(self):
+        # plain detection at beta * mesh = 0.2 flags each jump's relaxation step too,
+        # so a minimum gap of 3 keeps a strict subset of the flags
+        from spikelab.model import ExpOU, ModelSpec, SignedExponentialMixture, SpikeParams
+        from spikelab.simulate import make_rng, simulate_spot
+
+        law = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
+        model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 2000.0, law))
+        path = simulate_spot(model, GridSpec(10_000, 1.0), make_rng(3)).observed
+        full = detect_jumps(path, DetectionConfig(mode=PLAIN))
+        thinned = apply_min_gap(full, 3)
+        assert 0 < thinned.count < full.count
+        rebuilt = report_for(path, thinned.indices, PLAIN, thinned.sigma_hat, thinned.threshold_abs)
+        est = estimate_spikes(path, thinned)
+        assert est == estimate_spikes(path, rebuilt)
+        assert est.diagnostics is not None and est.moment_estimates[2] is not None
+
     def test_full_pass_on_noiseless_spike(self):
         beta = 200.0
         path = decay_spike_path(10_000, jump_at=500, size=1.0, beta=beta)

@@ -100,6 +100,11 @@ class TestEstimationStudy:
         with pytest.raises(ValueError):
             small_study(reps=1)
 
+    def test_unknown_mode_rejected_by_the_config(self):
+        # raised where the config is built, not inside a worker process of the study
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            replace(small_study(), modes=(PLAIN, "bogus"))
+
     def test_traced_peak_of_a_study_stays_small(self):
         # n = 10^4: a block of 104 paths and one of 16, each in the one 8 MB
         # buffer of one row a path; two rows a path peaked at 16.7 MB

@@ -150,6 +150,29 @@ class TestAccepted:
         assert (report.step, report.span) == (3600.0, 3 * 3600.0)
 
 
+    @pytest.mark.parametrize(
+        "rows",
+        [HOURLY, [f"0001-01-01T0{h}:00:00+01:00,{h}.0" for h in range(3)]],
+        ids=["bulk-reader", "row-reader"],
+    )
+    @pytest.mark.parametrize("time_col", [None, "timestamp"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, rows, time_col):
+        text = "timestamp,price\n" + "\n".join(rows) + "\n"
+        marked = write(tmp_path, "\ufeff" + text, "marked.csv")
+        assert open(marked, "rb").read(3) == b"\xef\xbb\xbf"
+        series, report = load_spot_csv(marked, IngestRules(time_col))
+        plain_series, plain_report = load_spot_csv(write(tmp_path, text, "plain.csv"), IngestRules(time_col))
+        assert series.values.tobytes() == plain_series.values.tobytes()
+        assert report == plain_report
+
+    def test_cli_reads_a_byte_order_marked_file_by_column_name(self, tmp_path, capsys):
+        text = "timestamp,price\n" + "".join(f"{t},{30.0 + (t * 7) % 5}\n" for t in range(40))
+        outputs = []
+        for name, prefix in (("marked.csv", "\ufeff"), ("plain.csv", "")):
+            assert dispatch(["estimate", "--in", write(tmp_path, prefix + text, name), "--time-col", "timestamp", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_mixed_numeric_and_calendar_column(self, tmp_path):
         # a column is read as numbers or as calendar stamps, never as both
         with pytest.raises(IngestError, match=r"data.csv: calendar timestamp '1970-01-01T00:00:01Z' at row 2 differs"):

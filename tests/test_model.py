@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from spikelab.model import (
     Empirical,
+    ExpOU,
+    Flat,
+    ForwardCurve,
     GridSpec,
     PointMass,
     SampledPath,
     SignedExponentialMixture,
     SpikeParams,
+    TwoFactorParams,
     check_assumptions,
     sign,
 )
@@ -79,6 +83,34 @@ class TestMoments:
             SignedExponentialMixture((0.4, 0.6), (-1.0, 1.0), (1, 1))
         with pytest.raises(ValueError):
             SignedExponentialMixture((0.4, 0.6), (1.0, 1.0), (2, 1))
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            pytest.param(lambda: SignedExponentialMixture((math.nan, 0.6), (15.0, 10.0), (-1, 1)), "weights", id="nan-weight"),
+            pytest.param(lambda: SignedExponentialMixture((0.4, 0.6), (math.nan, 10.0), (-1, 1)), "rates", id="nan-rate"),
+            pytest.param(lambda: SignedExponentialMixture((0.4, 0.6), (math.inf, 10.0), (-1, 1)), "rates", id="inf-rate"),
+            pytest.param(lambda: ExpOU(-5.0, 2.0), "reversion", id="negative-reversion"),
+            pytest.param(lambda: ExpOU(math.nan, 2.0), "reversion", id="nan-reversion"),
+            pytest.param(lambda: ExpOU(100.0, math.inf), "vol", id="inf-vol"),
+            pytest.param(lambda: ExpOU(100.0, 2.0, math.inf), "initial", id="inf-initial"),
+            pytest.param(lambda: Flat(math.nan), "level", id="nan-level"),
+            pytest.param(lambda: Flat(-math.inf), "level", id="inf-level"),
+            pytest.param(lambda: TwoFactorParams(math.inf, 1.03, 0.25, -0.11), "alpha", id="inf-alpha"),
+            pytest.param(lambda: TwoFactorParams(12.56, math.nan, 0.25, -0.11), "sigma_s", id="nan-sigma-s"),
+            pytest.param(lambda: TwoFactorParams(12.56, 1.03, math.inf, -0.11), "sigma_l", id="inf-sigma-l"),
+            pytest.param(lambda: ForwardCurve.flat(math.inf), "forward curve levels", id="inf-curve-level"),
+        ],
+    )
+    def test_rejected_in_one_line_naming_the_field(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be") as info:
+            build()
+        assert "\n" not in str(info.value)
+
+    def test_zero_reversion_is_the_brownian_limit(self):
+        assert ExpOU(0.0, 2.0).reversion == 0.0
 
 
 class TestExpMoments:

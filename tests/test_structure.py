@@ -6,7 +6,8 @@ on ``model`` alone, ``simulate`` does not reach up into ``pricing``, and no
 import runs inside a function (a lazy import is how an import cycle gets
 hidden), and no module imports a ``_``-prefixed name from a sibling (a
 private name shared across modules belongs in one of them, behind a public
-function).  ``cli`` keeps exposing the ingest names it re-exports.  No
+function).  The package makes at most four ``isinstance`` calls, so a new
+type-dispatch chain fails here.  ``cli`` keeps exposing the ingest names it re-exports.  No
 module imports ``scipy.signal`` or ``scipy.stats``, which would double the
 modules and memory that ``import spikelab`` costs; a child process checks the
 import itself.  The layers that ``benchmarks/spans.py`` wraps for a traced
@@ -124,6 +125,23 @@ def test_traced_layers_exist():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def isinstance_calls(tree: ast.Module) -> int:
+    """Calls of the builtin ``isinstance`` in a module."""
+    return sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        for node in ast.walk(tree)
+    )
+
+
+def test_isinstance_calls_stay_at_four():
+    # three in simulate._continuous_rows and one in cli._two_factor; a new dispatch chain fails here
+    assert sum(isinstance_calls(tree) for tree in MODULES.values()) <= 4
+
+
+def test_isinstance_calls_are_seen():
+    assert isinstance_calls(ast.parse("if isinstance(x, int) or isinstance(y, (A, B)):\n    obj.isinstance(z)")) == 2
 
 
 # scipy modules the package may not import: each loads hundreds of modules
