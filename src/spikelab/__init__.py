@@ -14,7 +14,6 @@ from .model import (
     GridSpec,
     JumpLaw,
     ModelSpec,
-    PointMass,
     SampledPath,
     SignedExponentialMixture,
     SpikeParams,

@@ -7,7 +7,7 @@ commas.  Documented keys:
     jump.kind                        mixture (default) | pointmass | empirical
     jump.weights, jump.rates,        signed exponential mixture; sign -1 means
     jump.signs                       the negated exponential component
-    jump.size                        point-mass jump size
+    jump.size                        point-mass jump size (a one-atom empirical law)
     jump.samples                     inline empirical sizes (comma separated)
     jump.samples_file                file of empirical sizes, one per line
     cont.kind                        expou | flat | twofactor
@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .model import Empirical, ExpOU, Flat, ForwardCurve, GridSpec, JumpLaw, ModelSpec, PointMass
+from .model import Empirical, ExpOU, Flat, ForwardCurve, GridSpec, JumpLaw, ModelSpec
 from .model import SignedExponentialMixture, SpikeParams, TwoFactorDynamics, TwoFactorParams
 
 __all__ = [
@@ -124,10 +124,10 @@ def build_jump_law(cfg: Dict[str, str]) -> JumpLaw:
     if kind == "mixture":
         weights = _floats(_require(cfg, "jump.weights"))
         rates = _floats(_require(cfg, "jump.rates"))
-        signs = [int(s) for s in _floats(_require(cfg, "jump.signs"))]
+        signs = _floats(_require(cfg, "jump.signs"))
         return SignedExponentialMixture(tuple(weights), tuple(rates), tuple(signs))
     if kind == "pointmass":
-        return PointMass(_float(cfg, "jump.size"))
+        return Empirical([_float(cfg, "jump.size")])
     if kind == "empirical":
         if "jump.samples_file" in cfg:
             samples = np.loadtxt(cfg["jump.samples_file"], ndmin=1)

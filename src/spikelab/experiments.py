@@ -147,9 +147,10 @@ def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> 
     path, in one buffer of at most 2^20 entries (8 MB, 104 paths at
     n = 10^4), reused from block to block; detection and estimation then run
     path by path, on increments computed once a path.  Rows depend on
-    neither the block nor the worker count.
+    neither the block nor the worker count, which is capped at the CPU count:
+    the pool starts all its processes at the first submit.
     """
-    workers = resolve_workers(workers)
+    workers = min(resolve_workers(workers), os.cpu_count() or 1)
     reps = config.replications
     bounds = [reps * k // workers for k in range(workers + 1)]
     tasks = [

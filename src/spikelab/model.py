@@ -32,7 +32,6 @@ __all__ = [
     "JumpLaw",
     "SignedExponentialMixture",
     "Empirical",
-    "PointMass",
     "SpikeParams",
     "ExpOU",
     "Flat",
@@ -199,18 +198,19 @@ class SignedExponentialMixture(JumpLaw):
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         b = tuple(float(x) for x in self.rates)
-        s = tuple(int(x) for x in self.signs)
+        s = tuple(self.signs)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rates", b)
-        object.__setattr__(self, "signs", s)
         if not (len(w) == len(b) == len(s)) or len(w) == 0:
             raise ValueError("weights, rates and signs must have equal nonzero length")
         if not (all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-12):
             raise ValueError(f"weights must be a probability vector, got {w}")
         if not all(0 < x < math.inf for x in b):
             raise ValueError(f"rates must be positive and finite, got {b}")
+        # checked before the int conversion, which would truncate -1.7 to -1 and fail on NaN
         if any(x not in (-1, 1) for x in s):
             raise ValueError(f"signs must be +-1, got {s}")
+        object.__setattr__(self, "signs", tuple(int(x) for x in s))
 
     def sample(self, rng, size=None):
         # the component is drawn as Generator.choice(p=weights) draws it, from
@@ -301,49 +301,13 @@ class Empirical(JumpLaw):
         with np.errstate(over="ignore"):
             vals = np.exp(u * self.samples)
         if not np.all(np.isfinite(vals)):
-            raise ValueError(f"exponential moment overflows at u={u} for empirical law")
+            size = self.samples[~np.isfinite(vals)][0]
+            raise ValueError(f"exponential moment overflows at u={u} for empirical law (size {size})")
         return float(np.mean(vals))
 
     def exp_moment_integral(self, eps):
         self.exp_moment(1.0)  # finite phi(1) keeps every Ein value finite
         return float(np.mean(_ein(self.samples, eps)))
-
-
-@dataclass(frozen=True)
-class PointMass(JumpLaw):
-    """Degenerate law: every jump has the same nonzero size."""
-
-    size: float
-
-    def __post_init__(self):
-        if self.size == 0 or not math.isfinite(self.size):
-            raise ValueError("point mass must sit at a finite nonzero size")
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.size
-        return np.full(int(size), self.size)
-
-    def moment(self, m=1, kind="signed"):
-        if kind == "sign":
-            return float(sign(self.size))
-        if kind == "signed":
-            return float(self.size**m)
-        if kind == "absolute":
-            return float(abs(self.size) ** m)
-        raise ValueError(f"unknown moment kind {kind!r}")
-
-    def exp_moment(self, u):
-        try:
-            return float(math.exp(u * self.size))
-        except OverflowError:
-            raise ValueError(
-                f"exponential moment overflows at u={u} for point mass at {self.size}"
-            ) from None
-
-    def exp_moment_integral(self, eps):
-        self.exp_moment(1.0)  # finite phi(1) keeps both Ein values finite
-        return float(_ein(np.array([float(self.size)]), eps)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ the compound-Poisson exponential functional
 phi the exponential moment of the jump law.  The integral is exact for every
 law (``JumpLaw.exp_moment_integral``): sum_i w_i ln((b_i - s_i eps) / (b_i -
 s_i)) for a mixture of signed exponentials s_i Exp(b_i), which needs s_i < b_i,
-and Ein(x) - Ein(eps x) for a point mass at x (averaged over the sample for an
-empirical law), with Ein(z) = int_0^z (e^t - 1) / t dt.  Both models are
-checked against brute-force Monte Carlo in the test suite.
+and the sample average of Ein(x) - Ein(eps x) for an empirical law, with
+Ein(z) = int_0^z (e^t - 1) / t dt.  Both models are checked against
+brute-force Monte Carlo in the test suite.
 
 Strip options are priced under the Merton measure: the Brownian drift is
 re-centred so every forward is a martingale while the jump intensity and law
@@ -107,12 +107,20 @@ class PriceWithCI:
     stderr: float
 
 
-def _forward_spike(z_now: float, params: SpikeParams, t: float, maturity: float, smear: float) -> float:
-    """Arithmetic spike correction whose decaying part is multiplied by ``smear`` (1 for an instant)."""
+def _decay(z_now: float, params: SpikeParams, t: float, maturity: float) -> float:
+    """exp(-beta (T - t)), once t, T and z_now are finite and T does not precede t."""
+    for name, value in (("valuation time t", t), ("maturity T", maturity), ("spike level z_now", z_now)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if maturity < t:
         raise ValueError("maturity must not precede the valuation time")
+    return math.exp(-params.reversion * (maturity - t))
+
+
+def _forward_spike(z_now: float, params: SpikeParams, t: float, maturity: float, smear: float) -> float:
+    """Arithmetic spike correction whose decaying part is multiplied by ``smear`` (1 for an instant)."""
     lam, beta = params.intensity, params.reversion
-    decay = math.exp(-beta * (maturity - t))
+    decay = _decay(z_now, params, t, maturity)
     return decay * smear * z_now + lam * params.law.mean() / beta * (1.0 - decay * smear)
 
 
@@ -144,10 +152,8 @@ def forward_spike_log(z_now: float, params: SpikeParams, t: float, maturity: flo
     raises ValueError naming the law when it is not, or when the factor
     overflows a float.
     """
-    if maturity < t:
-        raise ValueError("maturity must not precede the valuation time")
     law = params.law
-    eps = math.exp(-params.reversion * (maturity - t))
+    eps = _decay(z_now, params, t, maturity)
     exponent = eps * z_now + params.intensity / params.reversion * law.exp_moment_integral(eps)
     if not exponent <= _LOG_MAX:
         raise ValueError(

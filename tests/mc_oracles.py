@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from spikelab.detect import DegeneratePathError, gaussian_abs_moment
-from spikelab.model import GridSpec, JumpLaw, PointMass, SignedExponentialMixture, SpikeParams, TwoFactorParams
+from spikelab.model import GridSpec, JumpLaw, SignedExponentialMixture, SpikeParams, TwoFactorParams
 from spikelab.simulate import JumpRecord, _factor_chunks, interval_index
 
 
@@ -166,8 +166,7 @@ def exp_moment_integral_quadrature(law: JumpLaw, eps: float) -> Tuple[float, flo
             for w, b, s in zip(law.weights, law.rates, law.signs)
         ]
     else:
-        sizes = np.atleast_1d(law.size if isinstance(law, PointMass) else law.samples)
-        parts = [(1.0 / sizes.size, lambda v, x=x: math.expm1(v * x) / v) for x in sizes]
+        parts = [(1.0 / law.samples.size, lambda v, x=x: math.expm1(v * x) / v) for x in law.samples]
     values = []
     for weight, f in parts:
         # (1 - eps) * max|f| bounds the part and is within a factor ~|x| of it

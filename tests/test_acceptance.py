@@ -20,7 +20,6 @@ from spikelab.model import (
     ExpOU,
     GridSpec,
     ModelSpec,
-    PointMass,
     SignedExponentialMixture,
     SpikeParams,
 )
@@ -111,12 +110,12 @@ def test_criterion_2_lambda_inflation_signature(table1_rows):
 ARITH_CASES = [
     (SpikeParams(10.0, 200.0, SMALL_MIX), 0.05, 200_000, 901),
     (SpikeParams(35.0, 21_000.0, STUDY_LAW), 0.02, 200_000, 902),
-    (SpikeParams(5.0, 50.0, PointMass(-2.0)), 0.1, 100_000, 903),
+    (SpikeParams(5.0, 50.0, Empirical([-2.0])), 0.1, 100_000, 903),
 ]
 
 LOG_CASES = [
     (SpikeParams(10.0, 200.0, SMALL_MIX), 0.05, 1_000_000, 911),
-    (SpikeParams(20.0, 500.0, PointMass(0.08)), 0.03, 1_000_000, 912),
+    (SpikeParams(20.0, 500.0, Empirical([0.08])), 0.03, 1_000_000, 912),
     (SpikeParams(10.0, 200.0, Empirical(np.array([0.05, -0.1, 0.2, 0.12, -0.03]))), 0.05, 1_000_000, 913),
 ]
 
@@ -141,7 +140,7 @@ def test_criterion_3_forward_formula_oracles():
     for params, t, maturity, theta, z_now in [
         (SpikeParams(10.0, 200.0, SMALL_MIX), 0.0, 0.02, 0.05, 0.8),
         (SpikeParams(35.0, 21_000.0, STUDY_LAW), 0.1, 0.3, 1.0, -0.3),
-        (SpikeParams(5.0, 50.0, PointMass(-2.0)), 0.0, 0.0, 0.01, 2.0),
+        (SpikeParams(5.0, 50.0, Empirical([-2.0])), 0.0, 0.0, 0.01, 2.0),
     ]:
         direct = forward_spike_delivery(z_now, params, t, maturity, theta)
         quad = adaptive_simpson(
@@ -202,7 +201,7 @@ def test_criterion_5_lambda_clt_and_exact_inversion():
     # seeded ensemble passes at the 1% level.
     lam = 75.0
     grid = GridSpec(100_000, 1.0)
-    model = ModelSpec(EXPOU_STUDY, SpikeParams(lam, 2.0, PointMass(12.0)))
+    model = ModelSpec(EXPOU_STUDY, SpikeParams(lam, 2.0, Empirical([12.0])))
     config = DetectionConfig(constant=5.0, exponent=0.01, mode=PLAIN)
     counts = np.empty(1_000)
     for r in range(counts.size):

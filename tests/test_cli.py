@@ -1,5 +1,6 @@
 """CSV ingestion rules and the command-line surface."""
 
+import csv
 import json
 import warnings
 
@@ -213,6 +214,150 @@ class TestDispatch:
                 "--horizon-years must be positive and finite, got -1.0",
                 id="negative-horizon-years",
             ),
+            pytest.param(
+                MODEL_CFG + "lambda 10\n",
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "expected 'key = value', got 'lambda 10'",
+                id="line-without-equals",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("jump.weights = 0.4, 0.6\n", ""),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "missing required config key 'jump.weights'",
+                id="missing-list-key",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("jump.rates = 0.0666666666666667, 0.1", "jump.rates = a, b"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "bad numeric list 'a, b'",
+                id="bad-numeric-list",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("lambda = 10", "lambda = ten"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "bad number for 'lambda': 'ten'",
+                id="bad-number",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("grid.n = 10000", "grid.n = 1.5"),
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "bad integer for 'grid.n': '1.5'",
+                id="bad-grid-n",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("grid.horizon = 1", "grid.horizon = 0"),
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "horizon must be positive and finite, got 0.0",
+                id="zero-horizon",
+            ),
+            pytest.param(
+                MODEL_CFG + "jump.kind = empirical\n",
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "empirical law needs jump.samples or jump.samples_file",
+                id="empirical-without-samples",
+            ),
+            pytest.param(
+                MODEL_CFG + "jump.kind = gamma\n",
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "unknown jump.kind 'gamma'",
+                id="unknown-jump-kind",
+            ),
+            pytest.param(
+                MODEL_CFG + "jump.kind = pointmass\njump.size = 0\n",
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "samples must be finite and nonzero",
+                id="point-mass-at-zero",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("cont.kind = expou", "cont.kind = heston"),
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "unknown cont.kind 'heston'",
+                id="unknown-cont-kind",
+            ),
+            pytest.param(
+                MODEL_CFG + "study.pairs = 10-200\n",
+                ["study-estimation", "--config", "{cfg}", "--reps", "2", "--out", "{tmp}/out"],
+                "bad study pair '10-200'; expected 'lambda:beta'",
+                id="study-pair-without-colon",
+            ),
+            pytest.param(
+                MODEL_CFG + "study.pairs = 10:x\n",
+                ["study-estimation", "--config", "{cfg}", "--reps", "2", "--out", "{tmp}/out"],
+                "bad study pair '10:x'",
+                id="study-pair-not-a-number",
+            ),
+            pytest.param(
+                MODEL_CFG + "study.pairs = ,\n",
+                ["study-estimation", "--config", "{cfg}", "--reps", "2", "--out", "{tmp}/out"],
+                "study.pairs is empty",
+                id="empty-study-pairs",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("lambda = 10", "lambda = -1"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "intensity must be positive, got -1.0",
+                id="negative-lambda",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("beta = 200", "beta = inf"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "reversion must be positive, got inf",
+                id="infinite-beta",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.rho = -0.11", "cont.rho = 1.5"),
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "4"],
+                "correlation must lie in [-1, 1], got 1.5",
+                id="rho-outside-unit-interval",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["estimate", "--in", "{csv}", "--C", "0"],
+                "threshold constant must be positive, got 0.0",
+                id="zero-threshold-constant",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["detect", "--in", "{csv}", "--varpi", "0.6"],
+                "exponent must lie in [0, 1/2), got 0.6",
+                id="varpi-above-half",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["detect", "--in", "{csv}", "--mpv-order", "1"],
+                "multipower order must be >= 2, got 1",
+                id="multipower-order-one",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["price-forward", "--config", "{cfg}", "--t", "nan", "--T", "0.01", "--json"],
+                "valuation time t must be finite, got nan",
+                id="nan-valuation-time",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01", "--z-now", "inf", "--json"],
+                "spike level z_now must be finite, got inf",
+                id="infinite-spike-level",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("jump.rates = 0.0666666666666667, 0.1", "jump.rates = 15, 10"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "nan", "--log-model"],
+                "maturity T must be finite, got nan",
+                id="nan-maturity-log-model",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("jump.signs = -1, 1", "jump.signs = -1.7, 1.2"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "signs must be +-1, got (-1.7, 1.2)",
+                id="fractional-signs",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("jump.signs = -1, 1", "jump.signs = nan, 1"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
+                "signs must be +-1, got (nan, 1.0)",
+                id="nan-sign",
+            ),
         ],
     )
     def test_bad_input_fails_in_one_line(self, tmp_path, capsys, config_text, argv, message):
@@ -315,8 +460,8 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "law_lines,name",
         [
-            ("jump.kind = pointmass\njump.size = 1000", "point mass"),
-            ("jump.kind = pointmass\njump.size = 600", "PointMass"),
+            ("jump.kind = pointmass\njump.size = 1000", "empirical law (size 1000.0)"),
+            ("jump.kind = pointmass\njump.size = 600", "(jump law Empirical)"),
             ("jump.kind = empirical\njump.samples = 1000, 2", "empirical"),
         ],
     )
@@ -423,3 +568,126 @@ class TestDispatch:
         assert (out_dir / "estimation_study.json").exists()
         rows = json.loads((out_dir / "estimation_study.json").read_text())["rows"]
         assert len(rows) == 2
+
+
+def estimate_text(payload):
+    """The text form of ``estimate``: the --json values, rates to 6 and diagnostics to 4 significant digits."""
+    lo, hi = payload["lambda_ci"]
+    lines = [
+        f"lambda_hat: {payload['lambda_hat']:.6g}  (95% CI {lo:.6g} .. {hi:.6g})",
+        f"beta_hat: {payload['beta_hat']:.6g}",
+        f"slope_hat: {payload['slope_hat']:.6g}",
+    ]
+    lines += [f"moment[{m}]: {'undefined' if v is None else f'{v:.6g}'}" for m, v in payload["moments"].items()]
+    if "diagnostics" in payload:
+        diag = payload["diagnostics"]
+        lines += [
+            f"bias_term: {diag['bias_term']:.4g}",
+            "error_components: " + " ".join(f"{v:.4g}" for v in diag["error_components"]),
+            f"relative_error_bound: {diag['relative_error_bound']:.4g}",
+        ]
+    flags = payload["flags"]
+    named = [name for name in ("undefined", "floored") if flags[name]]
+    named += [f"boundary_drops={flags['boundary_drops']}"] if flags["boundary_drops"] else []
+    lines.append("flags: " + (", ".join(named) if named else "none"))
+    if "per_year" in payload:
+        rates = payload["per_year"]
+        lines.append(f"per-year: lambda_hat {rates['lambda_hat']:.6g}, beta_hat {rates['beta_hat']:.6g}")
+    return "\n".join(lines) + "\n"
+
+
+class TestTextOutput:
+    """Each subcommand's text output carries the values of its --json output."""
+
+    @pytest.fixture
+    def simulated(self, model_config, tmp_path, capsys):
+        out = str(tmp_path / "sim.csv")
+        self.run(capsys, ["simulate", "--config", model_config, "--seed", "3", "--out", out])
+        return out
+
+    def run(self, capsys, argv):
+        assert dispatch(argv) == 0
+        return capsys.readouterr().out
+
+    def test_simulate(self, model_config, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--config", model_config, "--seed", "3", "--out", str(out)]
+        summary = json.loads(self.run(capsys, [*argv, "--json"]))
+        assert summary == {"out": str(out), "truth": f"{out}.truth.csv", "n": 10_000, "jumps": summary["jumps"]}
+        truth = (tmp_path / "sim.csv.truth.csv").read_text().splitlines()
+        assert truth[0] == "t_jump,size" and len(truth) == summary["jumps"] + 1
+        assert self.run(capsys, argv) == (
+            f"wrote 10001 observations to {out} ({summary['jumps']} jumps, truth in {out}.truth.csv)\n"
+        )
+
+    def test_detect(self, simulated, tmp_path, capsys):
+        payload = json.loads(self.run(capsys, ["detect", "--in", simulated, "--json"]))
+        flagged = tmp_path / "flagged.csv"
+        text = self.run(capsys, ["detect", "--in", simulated, "--out", str(flagged)])
+        assert payload["count"] > 0
+        assert text == (
+            f"count: {payload['count']}\nsigma_hat: {payload['sigma_hat']:.6g}\n"
+            f"threshold_abs: {payload['threshold_abs']:.6g}\nmode: {payload['mode']}\n"
+            "indices: " + " ".join(str(i) for i in payload["indices"]) + "\n"
+        )
+        rows = list(csv.reader(flagged.read_text().splitlines()))
+        series, _ = load_spot_csv(simulated, IngestRules())
+        assert rows[0] == ["index", "increment"]
+        assert [int(index) for index, _ in rows[1:]] == payload["indices"]
+        want = series.increments()[np.asarray(payload["indices"]) - 1]
+        assert [float(increment) for _, increment in rows[1:]] == want.tolist()
+
+    def test_estimate_without_calendar(self, simulated, capsys):
+        payload = json.loads(self.run(capsys, ["estimate", "--in", simulated, "--json"]))
+        assert "per_year" not in payload
+        assert self.run(capsys, ["estimate", "--in", simulated]) == estimate_text(payload)
+
+    def test_estimate_per_year_from_horizon_years(self, simulated, capsys):
+        payload = json.loads(self.run(capsys, ["estimate", "--in", simulated, "--horizon-years", "2", "--json"]))
+        assert payload["per_year"] == {"lambda_hat": payload["lambda_hat"] / 2, "beta_hat": payload["beta_hat"] / 2}
+        assert self.run(capsys, ["estimate", "--in", simulated, "--horizon-years", "2"]) == estimate_text(payload)
+
+    def test_estimate_per_year_from_iso_stamps(self, simulated, tmp_path, capsys):
+        series, _ = load_spot_csv(simulated, IngestRules())
+        stamps = np.datetime64("2016-01-01T00:00:00") + np.arange(series.values.size) * np.timedelta64(1, "h")
+        dated = write_csv(tmp_path, [f"{stamp},{value!r}" for stamp, value in zip(stamps, series.values.tolist())])
+        payload = json.loads(self.run(capsys, ["estimate", "--in", dated, "--json"]))
+        years = 10_000 * 3600 / (365.25 * 24 * 3600)
+        assert payload["per_year"] == {
+            "lambda_hat": payload["lambda_hat"] / years,
+            "beta_hat": payload["beta_hat"] / years,
+        }
+        assert self.run(capsys, ["estimate", "--in", dated]) == estimate_text(payload)
+
+    @pytest.mark.parametrize(
+        "extra, kind",
+        [([], "instant"), (["--theta", "0.02"], "delivery"), (["--log-model"], "log")],
+    )
+    def test_price_forward(self, tmp_path, capsys, extra, kind):
+        path = tmp_path / "law.cfg"
+        # rates above 1 keep the exponential moment finite for the log model
+        path.write_text(MODEL_CFG.replace("jump.rates = 0.0666666666666667, 0.1", "jump.rates = 15, 10"))
+        argv = ["price-forward", "--config", str(path), "--t", "0", "--T", "0.01", "--z-now", "0.3", *extra]
+        payload = json.loads(self.run(capsys, [*argv, "--json"]))
+        theta = 0.02 if kind == "delivery" else None
+        assert payload == {"kind": kind, "value": payload["value"], "t": 0.0, "T": 0.01, "theta": theta}
+        assert self.run(capsys, argv) == f"spike forward correction ({kind}): {payload['value']!r}\n"
+
+    def test_study_estimation_json_is_the_summary_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text(MODEL_CFG.replace("grid.n = 10000", "grid.n = 2000") + "study.pairs = 10:200\n")
+        out_dir = tmp_path / "out"
+        argv = ["study-estimation", "--config", str(cfg_path), "--reps", "2", "--seed", "5", "--out", str(out_dir)]
+        payload = json.loads(self.run(capsys, [*argv, "--json"]))
+        assert payload == json.loads((out_dir / "estimation_study.json").read_text())
+        assert len(payload["rows"]) == 2
+
+    def test_study_pricing_text_names_its_files(self, two_factor_config, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        text = self.run(
+            capsys,
+            ["study-pricing", "--config", two_factor_config, "--strikes", "40,60", "--sims", "8", "--out", str(out_dir)],
+        )
+        csv_path, json_path = out_dir / "pricing_study.csv", out_dir / "pricing_study.json"
+        assert text == f"wrote {csv_path} and {json_path} (2 strikes)\n"
+        assert len(json.loads(json_path.read_text())) == 2

@@ -161,11 +161,11 @@ class TestEnsembles:
             yield simulate_spot(model, grid, make_rng(child_seed(seed_base, r))), grid
 
     def test_point_mass_moment_recovery(self):
-        from spikelab.model import PointMass
+        from spikelab.model import Empirical
 
         config = DetectionConfig(constant=5.0, mode=SIGN_FILTERED)
         m1, m2 = [], []
-        for sim, grid in self._simulated(PointMass(2.0), 4040, 500):
+        for sim, grid in self._simulated(Empirical([2.0]), 4040, 500):
             report = detect_jumps(sim.observed, config)
             est = estimate_beta(sim.observed, report)
             if report.count == 0 or est.beta_hat <= 0:

@@ -160,6 +160,35 @@ class TestWorkers:
         assert run_estimation_study(config, workers=2) == run_estimation_study(config, workers=1)
         assert pools == [2]
 
+    @pytest.mark.parametrize("cpus", [None, 1, 2, "host"])
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch, cpus):
+        # a process pool starts all its workers at the first submit, so the count
+        # is capped before the ranges are split; this pool maps in this process
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        if cpus != "host":
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        capped = experiments.os.cpu_count() or 1
+        monkeypatch.setenv("SPIKELAB_THREADS", "100000")
+        config = small_study(reps=4)
+        assert run_estimation_study(config) == run_estimation_study(config, workers=1)
+        assert run_estimation_study(config, workers=100_000) == run_estimation_study(config, workers=1)
+        assert pools == ([capped] * 2 if capped > 1 else [])
+
 
 class TestPricingStudy:
     def make_config(self, strikes, sims=600, seed=4):

@@ -14,7 +14,7 @@ from spikelab.model import (
     Flat,
     ForwardCurve,
     GridSpec,
-    PointMass,
+    JumpLaw,
     SampledPath,
     SignedExponentialMixture,
     SpikeParams,
@@ -22,6 +22,7 @@ from spikelab.model import (
     check_assumptions,
     sign,
 )
+from spikelab.simulate import make_rng
 
 from mc_oracles import exp_moment_integral_quadrature
 
@@ -53,7 +54,7 @@ class TestGrid:
 
 class TestMoments:
     def test_point_mass_moments(self):
-        law = PointMass(-3.0)
+        law = Empirical([-3.0])
         assert law.moment(1, "signed") == -3.0
         assert law.moment(2, "absolute") == 9.0
         assert law.moment(1, "sign") == -1.0
@@ -61,7 +62,7 @@ class TestMoments:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("a", [2.5, -3.0, 0.1])
     def test_point_mass_power_identity(self, a, m):
-        assert PointMass(a).moment(m, "signed") == pytest.approx(a**m)
+        assert Empirical([a]).moment(m, "signed") == pytest.approx(a**m)
 
     def test_mixture_hand_values(self):
         assert MIX.moment(1, "sign") == pytest.approx(0.6 - 0.4)
@@ -92,6 +93,8 @@ class TestParameterValidation:
             pytest.param(lambda: SignedExponentialMixture((math.nan, 0.6), (15.0, 10.0), (-1, 1)), "weights", id="nan-weight"),
             pytest.param(lambda: SignedExponentialMixture((0.4, 0.6), (math.nan, 10.0), (-1, 1)), "rates", id="nan-rate"),
             pytest.param(lambda: SignedExponentialMixture((0.4, 0.6), (math.inf, 10.0), (-1, 1)), "rates", id="inf-rate"),
+            pytest.param(lambda: SignedExponentialMixture((0.4, 0.6), (15.0, 10.0), (-1.7, 1.2)), "signs", id="fractional-signs"),
+            pytest.param(lambda: SignedExponentialMixture((0.4, 0.6), (15.0, 10.0), (math.nan, 1.0)), "signs", id="nan-sign"),
             pytest.param(lambda: ExpOU(-5.0, 2.0), "reversion", id="negative-reversion"),
             pytest.param(lambda: ExpOU(math.nan, 2.0), "reversion", id="nan-reversion"),
             pytest.param(lambda: ExpOU(100.0, math.inf), "vol", id="inf-vol"),
@@ -109,19 +112,22 @@ class TestParameterValidation:
             build()
         assert "\n" not in str(info.value)
 
+    def test_float_signs_of_exactly_one_are_ints(self):
+        assert SignedExponentialMixture((0.4, 0.6), (15.0, 10.0), (-1.0, 1.0)).signs == (-1, 1)
+
     def test_zero_reversion_is_the_brownian_limit(self):
         assert ExpOU(0.0, 2.0).reversion == 0.0
 
 
 class TestExpMoments:
     @pytest.mark.parametrize(
-        "law", [MIX, PointMass(0.7), Empirical(np.array([0.3, -0.2, 1.1]))]
+        "law", [MIX, Empirical([0.7]), Empirical(np.array([0.3, -0.2, 1.1]))]
     )
     def test_normalization_at_zero(self, law):
         assert law.exp_moment(0.0) == pytest.approx(1.0)
 
     def test_point_mass_exponential(self):
-        assert PointMass(2.0).exp_moment(0.3) == pytest.approx(math.exp(0.6))
+        assert Empirical([2.0]).exp_moment(0.3) == pytest.approx(math.exp(0.6))
 
     def test_mixture_hand_value(self):
         # 0.4 * 15/16 + 0.6 * 10/9
@@ -132,7 +138,7 @@ class TestExpMoments:
             MIX.exp_moment(10.0)
 
     @pytest.mark.parametrize(
-        "law", [MIX, PointMass(-1.5), Empirical(np.array([0.5, -0.25, 2.0]))]
+        "law", [MIX, Empirical([-1.5]), Empirical(np.array([0.5, -0.25, 2.0]))]
     )
     def test_convexity_on_strip(self, law):
         us = np.linspace(-0.9, 0.9, 9)
@@ -169,11 +175,20 @@ def mixtures(draw):
     return SignedExponentialMixture(tuple(weights), tuple(rates), tuple(signs))
 
 
-LAWS = st.one_of(
-    mixtures(),
-    SIZES.map(PointMass),
-    st.lists(SIZES, min_size=1, max_size=8).map(lambda xs: Empirical(np.array(xs))),
-)
+# one entry per law class, each with its strategies; one-atom empirical laws
+# (point masses) are a branch of their own, drawn as often as each other branch
+LAW_STRATEGIES = {
+    SignedExponentialMixture: (mixtures(),),
+    Empirical: (
+        SIZES.map(lambda x: Empirical([x])),
+        st.lists(SIZES, min_size=1, max_size=8).map(lambda xs: Empirical(np.array(xs))),
+    ),
+}
+LAWS = st.one_of(*(strategy for strategies in LAW_STRATEGIES.values() for strategy in strategies))
+
+
+def test_law_strategies_cover_every_law():
+    assert set(LAW_STRATEGIES) == set(JumpLaw.__subclasses__())
 
 
 class TestExpMomentIntegral:
@@ -181,9 +196,9 @@ class TestExpMomentIntegral:
     @given(law=LAWS, eps=EPS)
     # eps next to 1 beyond |x| = 5, where differences of two Ein values lost
     # up to 1.7e-7 relative
-    @example(law=PointMass(5.0001), eps=1 - 1e-9)
-    @example(law=PointMass(30.0), eps=1 - 1e-9)
-    @example(law=PointMass(-7.0), eps=1 - 1e-9)
+    @example(law=Empirical([5.0001]), eps=1 - 1e-9)
+    @example(law=Empirical([30.0]), eps=1 - 1e-9)
+    @example(law=Empirical([-7.0]), eps=1 - 1e-9)
     @example(law=Empirical(np.array([12.0, -30.0])), eps=1 - 1e-7)
     def test_matches_quadrature(self, law, eps):
         got = law.exp_moment_integral(eps)
@@ -191,7 +206,7 @@ class TestExpMomentIntegral:
         # scale = |want| unless parts of both signs cancel in the sum
         assert abs(got - want) <= max(1e-10 * scale, 1e-14)
 
-    @pytest.mark.parametrize("law", [MIX, PointMass(-2.0), Empirical(np.array([0.3, -0.2]))])
+    @pytest.mark.parametrize("law", [MIX, Empirical([-2.0]), Empirical(np.array([0.3, -0.2]))])
     def test_vanishes_at_eps_one(self, law):
         assert law.exp_moment_integral(1.0) == 0.0
 
@@ -202,15 +217,29 @@ class TestExpMomentIntegral:
             law.exp_moment_integral(0.2)
 
     def test_unrepresentable_moment_names_law(self):
-        with pytest.raises(ValueError, match="point mass at 1000"):
-            PointMass(1000.0).exp_moment_integral(0.5)
+        with pytest.raises(ValueError, match=r"empirical law \(size 1000\.0\)"):
+            Empirical([1000.0]).exp_moment_integral(0.5)
         with pytest.raises(ValueError, match="empirical"):
             Empirical(np.array([1000.0, 2.0])).exp_moment_integral(0.5)
+
+    @pytest.mark.parametrize("size", [-5.5, -30.0, -700.0])
+    def test_eps_zero_is_the_limit_of_tiny_eps(self, size):
+        # eps = exp(-beta (T - t)) is 0.0 once beta (T - t) > 745
+        law = Empirical([size])
+        assert law.exp_moment_integral(0.0) == pytest.approx(law.exp_moment_integral(1e-300), rel=1e-12)
+
 
 class TestSampling:
     def test_point_mass_constant(self):
         rng = np.random.default_rng(0)
-        assert all(PointMass(2.5).sample(rng) == 2.5 for _ in range(100))
+        assert all(Empirical([2.5]).sample(rng) == 2.5 for _ in range(100))
+
+    @pytest.mark.parametrize("k", [None, 1, 5, 1000])
+    def test_one_atom_draws_consume_no_stream(self, k):
+        # so a one-atom empirical law simulates the same paths as a constant jump size
+        rng, fresh = make_rng(3), make_rng(3)
+        assert np.all(Empirical([2.5]).sample(rng, k) == 2.5)
+        assert rng.random() == fresh.random()
 
     def test_mixture_mean_matches_analytic(self):
         rng = np.random.default_rng(7)

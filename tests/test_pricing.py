@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from spikelab.model import Empirical, GridSpec, PointMass, SignedExponentialMixture, SpikeParams
+from spikelab.model import Empirical, GridSpec, SignedExponentialMixture, SpikeParams
 from spikelab.pricing import (
     ForwardCurve,
     StripOptionSpec,
@@ -109,7 +109,7 @@ class TestForwardLog:
         assert value == pytest.approx(math.exp(0.9 * math.exp(-10.0)), rel=1e-9)
 
     def test_divergent_exponential_moment_rejected(self):
-        bad = SpikeParams(10.0, 200.0, PointMass(1.0))  # fine
+        bad = SpikeParams(10.0, 200.0, Empirical([1.0]))  # fine
         forward_spike_log(0.0, bad, 0.0, 0.01)
         with pytest.raises(ValueError):
             tight = SignedExponentialMixture((1.0,), (0.5,), (1,))  # rate < 1 diverges on [0, 1]
@@ -119,7 +119,7 @@ class TestForwardLog:
         "law,seed",
         [
             (MIX, 11),
-            (PointMass(0.08), 12),
+            (Empirical([0.08]), 12),
             (Empirical(np.array([0.05, -0.1, 0.2, 0.12, -0.03])), 13),
         ],
     )
@@ -137,14 +137,14 @@ class TestForwardLog:
             # the cases above and acceptance criterion 3's log cases
             (PARAMS, 1.2, 0.3, 0.3),
             (SpikeParams(1e-12, 200.0, MIX), 0.9, 0.0, 0.05),
-            (SpikeParams(10.0, 200.0, PointMass(1.0)), 0.0, 0.0, 0.01),
+            (SpikeParams(10.0, 200.0, Empirical([1.0])), 0.0, 0.0, 0.01),
             (PARAMS, 0.0, 0.0, 0.05),
             (PARAMS, 1.0, 0.0, 0.05),
-            (SpikeParams(10.0, 200.0, PointMass(0.08)), 0.0, 0.0, 0.05),
-            (SpikeParams(20.0, 500.0, PointMass(0.08)), 0.0, 0.0, 0.03),
+            (SpikeParams(10.0, 200.0, Empirical([0.08])), 0.0, 0.0, 0.05),
+            (SpikeParams(20.0, 500.0, Empirical([0.08])), 0.0, 0.0, 0.03),
             (SpikeParams(10.0, 200.0, Empirical(np.array([0.05, -0.1, 0.2, 0.12, -0.03]))), 0.0, 0.0, 0.05),
-            (SpikeParams(5.0, 50.0, PointMass(-2.0)), 0.4, 0.1, 0.3),
-            (SpikeParams(5.0, 50.0, PointMass(4.0)), -0.2, 0.0, 1e-4),
+            (SpikeParams(5.0, 50.0, Empirical([-2.0])), 0.4, 0.1, 0.3),
+            (SpikeParams(5.0, 50.0, Empirical([4.0])), -0.2, 0.0, 1e-4),
         ],
     )
     def test_matches_quadrature(self, params, z, t, maturity):
@@ -157,6 +157,44 @@ class TestForwardLog:
         a = forward_spike_log(1.0, self.PARAMS, 0.0, 0.05)
         b = forward_spike_log(0.0, self.PARAMS, 0.0, 0.05)
         assert a / b == pytest.approx(math.exp(math.exp(-10.0)), rel=1e-10)
+
+    def test_decay_below_the_smallest_float(self):
+        # beta (T - t) = 800 > 745: eps = exp(-800) is 0.0, the eps = 0 branch of Ein
+        params = SpikeParams(5.0, 50.0, Empirical([-7.0]))
+        assert math.exp(-params.reversion * 16.0) == 0.0
+        expected = math.exp(params.intensity / params.reversion * params.law.exp_moment_integral(1e-300))
+        assert forward_spike_log(0.3, params, 0.0, 16.0) == pytest.approx(expected, rel=1e-12)
+
+
+def delivery(z_now, params, t, maturity):
+    return forward_spike_delivery(z_now, params, t, maturity, 0.02)
+
+
+class TestValuationInputs:
+    """t, T and z_now must be finite and T must not precede t, for every spike forward."""
+
+    PARAMS = SpikeParams(10.0, 200.0, MIX)
+
+    @pytest.mark.parametrize("pricer", [forward_spike_arith, delivery, forward_spike_log])
+    @pytest.mark.parametrize(
+        "z_now, t, maturity, name",
+        [
+            (0.0, math.nan, 0.01, "valuation time t"),
+            (0.0, -math.inf, 0.01, "valuation time t"),
+            (0.0, 0.0, math.nan, "maturity T"),
+            (0.0, 0.0, math.inf, "maturity T"),
+            (math.inf, 0.0, 0.01, "spike level z_now"),
+            (math.nan, 0.0, 0.01, "spike level z_now"),
+        ],
+    )
+    def test_non_finite_input_is_named(self, pricer, z_now, t, maturity, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got -?(nan|inf)$"):
+            pricer(z_now, self.PARAMS, t, maturity)
+
+    @pytest.mark.parametrize("pricer", [forward_spike_arith, delivery, forward_spike_log])
+    def test_maturity_before_valuation_time(self, pricer):
+        with pytest.raises(ValueError, match="^maturity must not precede the valuation time$"):
+            pricer(0.0, self.PARAMS, 0.02, 0.01)
 
 
 class TestForwardCurve:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spikelab import simulate
-from spikelab.model import ExpOU, Flat, GridSpec, ModelSpec, PointMass, SignedExponentialMixture, SpikeParams
+from spikelab.model import Empirical, ExpOU, Flat, GridSpec, ModelSpec, SignedExponentialMixture, SpikeParams
 from spikelab.model import TwoFactorDynamics
 from spikelab.pricing import ForwardCurve, TwoFactorParams
 from spikelab.simulate import (
@@ -39,7 +39,7 @@ STUDY_LAW = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
 class TestSpikes:
     def test_no_jumps_gives_zero_path(self):
         grid = GridSpec(100, 1.0)
-        params = SpikeParams(1e-9, 200.0, PointMass(1.0))
+        params = SpikeParams(1e-9, 200.0, Empirical([1.0]))
         path, truth = simulate_spikes(params, grid, make_rng(3))
         assert len(truth) == 0
         assert np.all(path.values == 0.0)
@@ -75,7 +75,7 @@ class TestSpikes:
 
     def test_jump_count_is_poissonian(self):
         grid = GridSpec(4, 1.0)
-        params = SpikeParams(10.0, 200.0, PointMass(1.0))
+        params = SpikeParams(10.0, 200.0, Empirical([1.0]))
         rng = make_rng(23)
         counts = np.array([len(simulate_spikes(params, grid, rng)[1]) for _ in range(4_000)])
         se = counts.std() / math.sqrt(counts.size)
@@ -107,7 +107,7 @@ class TestSpikeBatch:
         [
             (8_760, SpikeParams(35.0, 21_000.0, SignedExponentialMixture((0.4, 0.6), (1 / 30, 1 / 60), (-1, 1))), 64),
             (500, SpikeParams(2_000.0, 300.0, STUDY_LAW), 40),  # about 4 jumps per interval
-            (200, SpikeParams(1e-9, 50.0, PointMass(1.0)), 5),  # no jumps at all
+            (200, SpikeParams(1e-9, 50.0, Empirical([1.0])), 5),  # no jumps at all
         ],
     )
     def test_matches_single_path_simulation_on_the_same_stream(self, n, params, paths):
@@ -322,13 +322,13 @@ class TestSpot:
 
     def test_negligible_intensity_reduces_to_continuous(self):
         grid = GridSpec(500, 1.0)
-        model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(1e-9, 200.0, PointMass(1.0)))
+        model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(1e-9, 200.0, Empirical([1.0])))
         sim = simulate_spot(model, grid, make_rng(8))
         assert np.array_equal(sim.observed.values, sim.continuous.values)
 
     def test_flat_plus_forced_jump(self):
         grid = GridSpec(100, 1.0)
-        model = ModelSpec(Flat(7.0), SpikeParams(5.0, 50.0, PointMass(1.0)))
+        model = ModelSpec(Flat(7.0), SpikeParams(5.0, 50.0, Empirical([1.0])))
         sim = simulate_spot(model, grid, make_rng(21))
         assert np.array_equal(sim.observed.values, 7.0 + sim.spike.values)
 
