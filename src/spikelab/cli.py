@@ -199,8 +199,7 @@ def _exercise_times(spec_text: str, grid: GridSpec) -> np.ndarray:
     if spec_text == "hourly":
         return grid.times()[1:]
     if spec_text.startswith("csv:"):
-        times = np.loadtxt(spec_text[4:], ndmin=1)
-        return np.asarray(times, dtype=float)
+        return cfgmod.load_floats(spec_text[4:])
     raise ValueError(f"unknown exercise spec {spec_text!r}; use 'hourly' or 'csv:<file>'")
 
 
@@ -269,7 +268,10 @@ def _cmd_study_pricing(args) -> int:
     cfg = cfgmod.load_config(args.config)
     continuous = _two_factor(cfg, "study-pricing")
     grid = cfgmod.build_grid(cfg)
-    strikes = tuple(float(s) for s in args.strikes.split(","))
+    try:
+        strikes = tuple(float(s) for s in args.strikes.split(","))
+    except ValueError:
+        raise ValueError(f"--strikes must be comma-separated numbers, got {args.strikes!r}") from None
     study = PricingStudyConfig(
         two_factor=continuous.params,
         curve=continuous.curve,
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--modes", default=None, help="comma-separated: plain,signfiltered")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     _add_detection_flags(p, include_mode=False)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_study_estimation)

@@ -23,6 +23,7 @@ commas.  Documented keys:
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .model import SignedExponentialMixture, SpikeParams, TwoFactorDynamics, Two
 __all__ = [
     "ConfigError",
     "load_config",
+    "load_floats",
     "build_grid",
     "build_jump_law",
     "build_spike_params",
@@ -87,6 +89,19 @@ def load_config(path: str) -> Dict[str, str]:
     return values
 
 
+def load_floats(path: str) -> np.ndarray:
+    """The numbers of a text file, one a line; a bad or empty file raises a ConfigError naming it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's note on an empty file
+            values = np.loadtxt(path, ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if values.ndim != 1 or values.size == 0:
+        raise ConfigError(f"{path}: expected one number a line and at least one line")
+    return values
+
+
 def _require(cfg: Dict[str, str], key: str) -> str:
     if key not in cfg:
         raise ConfigError(f"missing required config key {key!r}")
@@ -130,7 +145,7 @@ def build_jump_law(cfg: Dict[str, str]) -> JumpLaw:
         return Empirical([_float(cfg, "jump.size")])
     if kind == "empirical":
         if "jump.samples_file" in cfg:
-            samples = np.loadtxt(cfg["jump.samples_file"], ndmin=1)
+            samples = load_floats(cfg["jump.samples_file"])
         elif "jump.samples" in cfg:
             samples = np.asarray(_floats(cfg["jump.samples"]))
         else:

@@ -19,7 +19,7 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,34 +41,12 @@ __all__ = [
     "StudyRow",
     "PricingStudyConfig",
     "PricingStudyRow",
-    "resolve_workers",
     "run_estimation_study",
     "run_pricing_study",
     "study_rows_to_csv",
     "study_summary",
     "pricing_rows_to_csv",
 ]
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else SPIKELAB_THREADS, else 1.
-
-    A count below 1 raises a ValueError naming where it came from.
-    """
-    source = "workers"
-    if workers is None:
-        env = os.environ.get("SPIKELAB_THREADS")
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"SPIKELAB_THREADS must be an integer, got {env!r}") from None
-        source = "SPIKELAB_THREADS"
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"{source} must be at least 1, got {workers}")
-    return workers
 
 
 @dataclass(frozen=True)
@@ -85,9 +63,11 @@ class StudyConfig:
     modes: Tuple[str, ...] = (PLAIN, SIGN_FILTERED)
 
     def __post_init__(self):
-        for mode in self.modes:
+        for k, mode in enumerate(self.modes):
             if mode not in (PLAIN, SIGN_FILTERED):
                 raise ValueError(f"unknown mode {mode!r}")
+            if mode in self.modes[:k]:
+                raise ValueError(f"mode {mode!r} is repeated")
         if self.replications < 2:
             raise ValueError("need at least 2 replications")
         object.__setattr__(self, "pairs", tuple((float(a), float(b)) for a, b in self.pairs))
@@ -134,7 +114,7 @@ def _estimation_block(config: StudyConfig, pair_idx: int, lo: int, hi: int) -> n
     return results
 
 
-def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> List[StudyRow]:
+def run_estimation_study(config: StudyConfig, workers: int = 1) -> List[StudyRow]:
     """Run the ensemble for every pair and mode; deterministic per master seed.
 
     Replication r of pair p simulates one path from the generator of child
@@ -150,7 +130,9 @@ def run_estimation_study(config: StudyConfig, workers: Optional[int] = None) -> 
     neither the block nor the worker count, which is capped at the CPU count:
     the pool starts all its processes at the first submit.
     """
-    workers = min(resolve_workers(workers), os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     reps = config.replications
     bounds = [reps * k // workers for k in range(workers + 1)]
     tasks = [

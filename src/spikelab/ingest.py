@@ -76,8 +76,8 @@ class IngestRules:
     dedup_policy: str = DEDUP_REJECT
 
     def __post_init__(self):
-        if self.expected_step is not None and not self.expected_step > 0:
-            raise ValueError(f"expected_step must be positive, got {self.expected_step}")
+        if self.expected_step is not None and not 0 < self.expected_step < np.inf:
+            raise ValueError(f"expected_step must be positive and finite, got {self.expected_step}")
         if self.gap_policy not in (GAP_REJECT, GAP_FFILL1):
             raise ValueError(f"unknown gap policy {self.gap_policy!r}")
         if self.dedup_policy not in (DEDUP_REJECT, DEDUP_KEEP_FIRST):

@@ -116,7 +116,8 @@ class SampledPath:
 class JumpLaw:
     """Base class for jump-size distributions (no atom at zero)."""
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` i.i.d. jump sizes drawn from ``rng``."""
         raise NotImplementedError
 
     def moment(self, m: int = 1, kind: str = "signed") -> float:
@@ -212,18 +213,16 @@ class SignedExponentialMixture(JumpLaw):
             raise ValueError(f"signs must be +-1, got {s}")
         object.__setattr__(self, "signs", tuple(int(x) for x in s))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         # the component is drawn as Generator.choice(p=weights) draws it, from
         # the same uniforms, on a CDF computed once per law
-        k = 1 if size is None else int(size)
         cdf, rates, signs = self._components
 
         def draw(m):
             comp = cdf.searchsorted(rng.random(m), side="right")
             return signs[comp] * rng.exponential(1.0, m) / rates[comp]
 
-        draws = _never_zero(draw(k), draw)
-        return float(draws[0]) if size is None else draws
+        return _never_zero(draw(size), draw)
 
     @functools.cached_property
     def _components(self):
@@ -284,9 +283,8 @@ class Empirical(JumpLaw):
         if not np.all(np.isfinite(samples)) or np.any(samples == 0.0):
             raise ValueError("samples must be finite and nonzero")
 
-    def sample(self, rng, size=None):
-        draws = rng.choice(self.samples, size=1 if size is None else int(size))
-        return float(draws[0]) if size is None else draws
+    def sample(self, rng, size):
+        return rng.choice(self.samples, size)
 
     def moment(self, m=1, kind="signed"):
         if kind == "sign":

@@ -20,12 +20,12 @@ all lanes.  On a 2-vCPU host a float step costs 0.12-0.14 us a lane and a
 numpy step about 2 us at any width up to a few hundred lanes, so a single
 path pays about 0.13 us per step and leg (lfilter paid about 0.01 us), and
 ensembles should go through the batched entry points: ``observed_rows``,
-``spot_rows``, ``simulate_two_factor``, ``spike_values_batch`` and the studies.
+``simulate_two_factor``, ``spike_values_batch`` and the studies.
 
 ``observed_rows`` simulates X = Xc + Z for a sequence of generators, a block
 of paths at a time in one reused buffer of a row a path (8 MB, 104 paths at
 n = 10^4); each time chunk runs the log and spike lanes as one recursion and
-writes back X.  ``spot_rows`` also keeps Xc and Z; ``simulate_spot`` is row 0.
+writes back X.  ``simulate_spot`` is one such path that also keeps Xc and Z.
 
 A batch of two-factor paths, with or without spikes, is walked along the
 grid in chunks of columns by ``spot_chunks``, which carries the factor state
@@ -72,7 +72,6 @@ __all__ = [
     "spike_values_batch",
     "simulate_exp_ou",
     "simulate_spot",
-    "spot_rows",
     "observed_rows",
     "simulate_two_factor",
     "spot_chunks",
@@ -128,18 +127,14 @@ def _draw_jumps(
     """One path's jumps (sorted arrival times, sizes).
 
     The single place that fixes the order in which a path's jumps are drawn
-    from the stream, shared by ``simulate_spikes`` and ``spot_chunks``.
+    from the stream, shared by ``simulate_spikes`` and ``spot_chunks``.  A
+    time equal to t_i belongs to interval i and a time of 0 to interval 1
+    (``interval_index``), so no time needs moving off the grid.
     """
     horizon = grid.horizon
     count = int(rng.poisson(params.intensity * horizon))
     times = np.sort(rng.uniform(0.0, horizon, count))
-    # keep arrivals off grid points and off 0 (both probability-zero events):
-    # nudge one ulp toward the interval interior so i(n, q) stays well defined
-    times[times == 0.0] = np.nextafter(0.0, 1.0)
-    on_grid = (times % grid.mesh) == 0.0
-    times[on_grid] = np.nextafter(times[on_grid], 0.0)
-    sizes = params.law.sample(rng, count) if count else np.empty(0)
-    return times, sizes
+    return times, params.law.sample(rng, count)
 
 
 def simulate_spikes(
@@ -148,7 +143,7 @@ def simulate_spikes(
     """Simulate the spike process on the grid together with its exact jumps.
 
     The jump count is Poisson(intensity * horizon), arrival times are uniform
-    order statistics on (0, horizon] and sizes are i.i.d. from the law.  Grid
+    order statistics on [0, horizon) and sizes are i.i.d. from the law.  Grid
     values are computed without discretization error, as row 0 of
     ``spike_values_batch``.
     """
@@ -360,30 +355,18 @@ def _spot_blocks(
         yield jumps, rows, spikes
 
 
-def spot_rows(
-    model: ModelSpec, grid: GridSpec, rngs: Iterable[np.random.Generator]
-) -> Iterator[SimulatedPath]:
-    """Simulate X = Xc + Z and its parts once per generator in ``rngs``, a block of paths at a time.
-
-    Path r spawns two child streams of rngs[r], as ``simulate_spot`` does:
-    the continuous leg draws from the first and the jumps from the second,
-    so each path is the one ``simulate_spot`` gives on that generator, bit
-    for bit, whatever the block.  A block holds a row a path in one reused
-    buffer of at most 2^20 entries (8 MB) and a new row of spike values a
-    path.  A two-factor leg is simulated path by path.
-    """
-    for jumps, rows, spikes in _spot_blocks(model, grid, rngs, split=True):
-        for row, spike_row, (times, sizes) in zip(rows, spikes, jumps):
-            continuous, spike = SampledPath(grid, row), SampledPath(grid, spike_row)
-            truth = tuple(map(JumpRecord, times.tolist(), sizes.tolist()))
-            observed = SampledPath(grid, continuous.values + spike.values)
-            yield SimulatedPath(observed, continuous, spike, truth)
-
-
 def observed_rows(
     model: ModelSpec, grid: GridSpec, rngs: Iterable[np.random.Generator]
 ) -> Iterator[SampledPath]:
-    """The observed paths X of ``spot_rows``, bit for bit, from a buffer of one row a path (8 MB)."""
+    """Simulate X = Xc + Z once per generator in ``rngs``, a block of paths at a time.
+
+    Path r spawns two child streams of rngs[r], as ``simulate_spot`` does:
+    the continuous leg draws from the first and the jumps from the second,
+    so each path is the observed path ``simulate_spot`` gives on that
+    generator, bit for bit, whatever the block.  A block holds a row a path
+    in one reused buffer of at most 2^20 entries (8 MB).  A two-factor leg
+    is simulated path by path.
+    """
     for _, rows, _ in _spot_blocks(model, grid, rngs, split=False):
         yield from (SampledPath(grid, row) for row in rows)
 
@@ -391,8 +374,15 @@ def observed_rows(
 def simulate_spot(
     model: ModelSpec, grid: GridSpec, rng: np.random.Generator
 ) -> SimulatedPath:
-    """Simulate X = Xc + Z with independent streams for the two components: row 0 of ``spot_rows``."""
-    return next(spot_rows(model, grid, (rng,)))
+    """Simulate X = Xc + Z with independent streams for the two components.
+
+    The continuous leg draws from the first of two child streams of ``rng``
+    and the jumps from the second; the path is the one ``observed_rows``
+    gives on that generator, with Xc and Z kept apart.
+    """
+    ((times, sizes),), (xc,), (z,) = next(_spot_blocks(model, grid, (rng,), split=True))
+    truth = tuple(map(JumpRecord, times.tolist(), sizes.tolist()))
+    return SimulatedPath(SampledPath(grid, xc + z), SampledPath(grid, xc), SampledPath(grid, z), truth)
 
 
 # ---------------------------------------------------------------------------

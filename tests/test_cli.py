@@ -358,6 +358,30 @@ class TestDispatch:
                 "signs must be +-1, got (nan, 1.0)",
                 id="nan-sign",
             ),
+            pytest.param(
+                MODEL_CFG,
+                ["estimate", "--in", "{csv}", "--step", "inf"],
+                "expected_step must be positive and finite, got inf",
+                id="infinite-step",
+            ),
+            pytest.param(
+                MODEL_CFG + "study.pairs = 10:200\n",
+                ["study-estimation", "--config", "{cfg}", "--reps", "2", "--out", "{tmp}/out", "--modes", "plain,plain"],
+                "mode 'plain' is repeated",
+                id="repeated-mode",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG,
+                ["study-pricing", "--config", "{cfg}", "--sims", "4", "--out", "{tmp}/out", "--strikes", ""],
+                "--strikes must be comma-separated numbers, got ''",
+                id="empty-strikes",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG,
+                ["study-pricing", "--config", "{cfg}", "--sims", "4", "--out", "{tmp}/out", "--strikes", "100,,200"],
+                "--strikes must be comma-separated numbers, got '100,,200'",
+                id="empty-strike-between-commas",
+            ),
         ],
     )
     def test_bad_input_fails_in_one_line(self, tmp_path, capsys, config_text, argv, message):
@@ -368,6 +392,29 @@ class TestDispatch:
         assert status == 1 and captured.out == ""
         assert captured.err.startswith("spikelab: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and message in captured.err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "expected one number a line and at least one line"), ("1.5\nt\n", "could not convert string 't'")],
+        ids=["empty", "non-numeric"],
+    )
+    @pytest.mark.parametrize("source", ["exercises", "samples-file"])
+    def test_bad_number_file_fails_in_one_line_naming_it(self, tmp_path, capsys, source, text, message):
+        numbers = tmp_path / "numbers.txt"
+        numbers.write_text(text)
+        cfg = tmp_path / "model.cfg"
+        if source == "exercises":
+            cfg.write_text(TWO_FACTOR_CFG)
+            argv = ["price-strip", "--config", str(cfg), "--strike", "40", "--sims", "4", "--exercises", f"csv:{numbers}"]
+        else:
+            cfg.write_text(MODEL_CFG.replace("jump.weights", f"jump.kind = empirical\njump.samples_file = {numbers}\n#"))
+            argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-file warning would reach stderr
+            status = dispatch(argv)
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err.startswith(f"spikelab: {numbers}: {message}") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["price-strip", "study-pricing"])
     def test_antithetic_single_pair_exits_one(self, two_factor_config, tmp_path, capsys, command):

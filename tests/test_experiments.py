@@ -1,6 +1,7 @@
 """Study harness: determinism, aggregation and output formats."""
 
 import csv
+import functools
 import json
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -16,7 +17,6 @@ from spikelab.experiments import (
     StudyConfig,
     StudyRow,
     pricing_rows_to_csv,
-    resolve_workers,
     run_estimation_study,
     run_pricing_study,
     study_rows_to_csv,
@@ -105,6 +105,10 @@ class TestEstimationStudy:
         with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
             replace(small_study(), modes=(PLAIN, "bogus"))
 
+    def test_repeated_mode_rejected_by_the_config(self):
+        with pytest.raises(ValueError, match="^mode 'plain' is repeated$"):
+            replace(small_study(), modes=(PLAIN, SIGN_FILTERED, PLAIN))
+
     def test_traced_peak_of_a_study_stays_small(self):
         # n = 10^4: a block of 104 paths and one of 16, each in the one 8 MB
         # buffer of one row a path; two rows a path peaked at 16.7 MB
@@ -118,34 +122,27 @@ class TestEstimationStudy:
         assert peak <= 10 * 2**20
 
 
+class InProcessPool:
+    """Stands in for the process pool: records each worker count and maps in this process."""
+
+    def __init__(self, counts, max_workers):
+        counts.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestWorkers:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("SPIKELAB_THREADS", "8")
-        assert resolve_workers(2) == 2
-
-    def test_env_variable_caps(self, monkeypatch):
-        monkeypatch.setenv("SPIKELAB_THREADS", "3")
-        assert resolve_workers() == 3
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("SPIKELAB_THREADS", raising=False)
-        assert resolve_workers() == 1
-
-    def test_non_integer_env_variable_named(self, monkeypatch):
-        monkeypatch.setenv("SPIKELAB_THREADS", "abc")
-        with pytest.raises(ValueError, match="SPIKELAB_THREADS"):
-            resolve_workers()
-
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_argument_below_one_rejected(self, workers, monkeypatch):
-        monkeypatch.setenv("SPIKELAB_THREADS", "2")
+    def test_argument_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
-            resolve_workers(workers)
-
-    def test_env_variable_below_one_rejected(self, monkeypatch):
-        monkeypatch.setenv("SPIKELAB_THREADS", "0")
-        with pytest.raises(ValueError, match="^SPIKELAB_THREADS must be at least 1, got 0$"):
-            resolve_workers()
+            run_estimation_study(small_study(reps=2), workers)
 
     def test_one_pool_per_study(self, monkeypatch):
         pools = []
@@ -165,29 +162,20 @@ class TestWorkers:
         # a process pool starts all its workers at the first submit, so the count
         # is capped before the ranges are split; this pool maps in this process
         pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(InProcessPool, pools))
         if cpus != "host":
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         capped = experiments.os.cpu_count() or 1
-        monkeypatch.setenv("SPIKELAB_THREADS", "100000")
         config = small_study(reps=4)
-        assert run_estimation_study(config) == run_estimation_study(config, workers=1)
         assert run_estimation_study(config, workers=100_000) == run_estimation_study(config, workers=1)
-        assert pools == ([capped] * 2 if capped > 1 else [])
+        assert pools == ([capped] if capped > 1 else [])
+
+    def test_environment_leaves_the_study_serial(self, monkeypatch):
+        pools = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(InProcessPool, pools))
+        monkeypatch.setenv("SPIKELAB_THREADS", "100000")
+        run_estimation_study(small_study(reps=4))
+        assert pools == []
 
 
 class TestPricingStudy:

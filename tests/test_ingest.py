@@ -231,6 +231,11 @@ class TestMessages:
         with pytest.raises(IngestError, match="non-finite timestamp 'nan' at row 2"):
             load(tmp_path, "t,price\n0,1.0\nnan,2.0\n2,3.0\n")
 
+    @pytest.mark.parametrize("step", [float("inf"), float("nan"), 0.0])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match=f"^expected_step must be positive and finite, got {step}$"):
+            IngestRules(expected_step=step)
+
     def test_cli_non_finite_price_exits_one_with_one_line(self, tmp_path, capsys):
         path = write(tmp_path, "t,price\n" + "\n".join(HOURLY[:2]) + "\n2016-01-01T02:00:00,nan\n")
         assert dispatch(["estimate", "--in", path, "--json"]) == 1

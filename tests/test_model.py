@@ -232,9 +232,9 @@ class TestExpMomentIntegral:
 class TestSampling:
     def test_point_mass_constant(self):
         rng = np.random.default_rng(0)
-        assert all(Empirical([2.5]).sample(rng) == 2.5 for _ in range(100))
+        assert all(Empirical([2.5]).sample(rng, 1)[0] == 2.5 for _ in range(100))
 
-    @pytest.mark.parametrize("k", [None, 1, 5, 1000])
+    @pytest.mark.parametrize("k", [0, 1, 5, 1000])
     def test_one_atom_draws_consume_no_stream(self, k):
         # so a one-atom empirical law simulates the same paths as a constant jump size
         rng, fresh = make_rng(3), make_rng(3)
@@ -301,7 +301,6 @@ class TestMixtureComponentDraw:
         theirs = ZeroedExponentials(np.random.default_rng(seed), zeros)
         assert law.sample(ours, size).tobytes() == choice_mixture_draws(law, theirs, size).tobytes()
         assert ours.rng.random() == theirs.rng.random()  # as many doubles consumed
-        assert law.sample(ours) == choice_mixture_draws(law, theirs, 1)[0]
 
     def test_uniform_on_a_cdf_step_takes_the_next_component(self):
         # as in Generator.choice: component i for cdf[i - 1] <= u < cdf[i]

@@ -28,7 +28,6 @@ from spikelab.simulate import (
     simulate_two_factor,
     spike_values_batch,
     spot_chunks,
-    spot_rows,
 )
 
 from mc_oracles import factor_states, lfilter_recursion, spike_values_direct_sum, spike_values_from_jumps
@@ -369,40 +368,15 @@ class TestSpot:
 MARKET_TF = TwoFactorParams(alpha=12.56, sigma_s=1.03, sigma_l=0.25, rho=-0.11)
 
 
-class TestSpotRows:
-    """Paths simulated in blocks are the single paths of ``simulate_spot``."""
-
-    CONTINUOUS = {
-        "expou": ExpOU(100.0, 2.0, 1.0),
-        "flat": Flat(2.0),
-        "twofactor": TwoFactorDynamics(MARKET_TF, ForwardCurve.flat(40.0)),
-    }
-
-    @pytest.mark.parametrize("leg", sorted(CONTINUOUS))
-    def test_rows_equal_single_paths_across_blocks(self, leg, monkeypatch):
-        grid = GridSpec(300, 1.0)
-        model = ModelSpec(self.CONTINUOUS[leg], SpikeParams(40.0, 50.0, STUDY_LAW))
-        # blocks of 3 paths, the last one of 1: the buffer is reused and shrinks
-        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 3 * (grid.n + 1) + 1)
-        paths = list(spot_rows(model, grid, (make_rng(child_seed(8, r)) for r in range(7))))
-        assert len(paths) == 7
-        for r, path in enumerate(paths):
-            single = simulate_spot(model, grid, make_rng(child_seed(8, r)))
-            for part in ("observed", "continuous", "spike"):
-                assert getattr(path, part).values.tobytes() == getattr(single, part).values.tobytes()
-            assert path.truth == single.truth
-        assert len({len(path.truth) for path in paths}) > 1
-
-    def test_no_generators_give_no_paths(self):
-        model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 50.0, STUDY_LAW))
-        assert list(spot_rows(model, GridSpec(10, 1.0), [])) == []
-
-
 class TestObservedRows:
     """The study's observed rows are the observed paths of ``simulate_spot``, bit for bit."""
 
     # log(initial) != 0, so a log recursion run through column 0 would show
-    CONTINUOUS = dict(TestSpotRows.CONTINUOUS, expou=ExpOU(100.0, 2.0, 3.0))
+    CONTINUOUS = {
+        "expou": ExpOU(100.0, 2.0, 3.0),
+        "flat": Flat(2.0),
+        "twofactor": TwoFactorDynamics(MARKET_TF, ForwardCurve.flat(40.0)),
+    }
 
     def rows_and_singles(self, leg, grid, intensity, seed, count, width, per_block):
         model = ModelSpec(self.CONTINUOUS[leg], SpikeParams(intensity, 50.0, STUDY_LAW))
@@ -432,6 +406,10 @@ class TestObservedRows:
         assert len(rows) == count
         for row, single in zip(rows, singles):
             assert row.values.tobytes() == single.observed.values.tobytes()
+
+    def test_no_generators_give_no_paths(self):
+        model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 50.0, STUDY_LAW))
+        assert list(observed_rows(model, GridSpec(10, 1.0), [])) == []
 
     @pytest.mark.parametrize("leg", sorted(CONTINUOUS))
     def test_chunk_edges_and_jumpless_paths(self, leg):

@@ -7,7 +7,9 @@ import runs inside a function (a lazy import is how an import cycle gets
 hidden), and no module imports a ``_``-prefixed name from a sibling (a
 private name shared across modules belongs in one of them, behind a public
 function).  The package makes at most four ``isinstance`` calls, so a new
-type-dispatch chain fails here.  ``cli`` keeps exposing the ingest names it re-exports.  No
+type-dispatch chain fails here.  No module reads the process environment
+(``os.environ``, ``os.getenv``): a setting read there is one that no flag or
+argument shows.  ``cli`` keeps exposing the ingest names it re-exports.  No
 module imports ``scipy.signal`` or ``scipy.stats``, which would double the
 modules and memory that ``import spikelab`` costs; a child process checks the
 import itself.  The layers that ``benchmarks/spans.py`` wraps for a traced
@@ -142,6 +144,30 @@ def test_isinstance_calls_stay_at_four():
 
 def test_isinstance_calls_are_seen():
     assert isinstance_calls(ast.parse("if isinstance(x, int) or isinstance(y, (A, B)):\n    obj.isinstance(z)")) == 2
+
+
+ENVIRONMENT_READS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(tree: ast.Module) -> list:
+    """The ``os`` names through which a module reads the environment, as attributes or imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [alias.name for alias in node.names if alias.name in ENVIRONMENT_READS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_environment_reads(name):
+    assert environment_reads(MODULES[name]) == []
+
+
+def test_environment_reads_are_seen():
+    tree = ast.parse("import os\nos.environ.get('A')\nn = os.getenv('B')\nfrom os import environ, path\nobj.environment")
+    assert environment_reads(tree) == ["environ", "environ", "getenv"]
 
 
 # scipy modules the package may not import: each loads hundreds of modules
