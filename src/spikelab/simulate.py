@@ -128,8 +128,8 @@ def _draw_jumps(
 
     The single place that fixes the order in which a path's jumps are drawn
     from the stream, shared by ``simulate_spikes`` and ``spot_chunks``.  A
-    time equal to t_i belongs to interval i and a time of 0 to interval 1
-    (``interval_index``), so no time needs moving off the grid.
+    time equal to t_i counts in interval i and a time of 0 in interval 1
+    (see ``interval_index``).
     """
     horizon = grid.horizon
     count = int(rng.poisson(params.intensity * horizon))
