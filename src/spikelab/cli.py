@@ -29,6 +29,7 @@ from .experiments import (
     PricingStudyConfig,
     StudyConfig,
     pricing_rows_to_csv,
+    pricing_summary,
     run_estimation_study,
     run_pricing_study,
     study_rows_to_csv,
@@ -55,11 +56,11 @@ __all__ = ["IngestRules", "IngestReport", "IngestError", "load_spot_csv", "dispa
 
 
 def _write_columns(path: str, header: List[str], *columns) -> None:
-    """CSV of equal-length float columns; each value is written as its repr."""
+    """CSV of equal-length columns; each value is written as the repr of its int or float."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(column, dtype=float).tolist() for column in columns)))
+        writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
 
 
 def _cmd_simulate(args) -> int:
@@ -92,28 +93,24 @@ def _detect_with_flags(path, args):
     return report
 
 
+def _report_fields(report) -> dict:
+    """The detection report's keys in the --json output of ``detect`` and ``estimate``."""
+    return {
+        "count": report.count,
+        "sigma_hat": report.sigma_hat,
+        "threshold_abs": report.threshold_abs,
+        "mode": report.mode,
+    }
+
+
 def _cmd_detect(args) -> int:
     path, ingest = load_spot_csv(args.infile, _ingest_rules(args))
     report = _detect_with_flags(path, args)
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "increment"])
-            for idx, inc in zip(report.indices, report.increments):
-                writer.writerow([int(idx), repr(float(inc))])
+        _write_columns(args.out, ["index", "increment"], report.indices, report.increments)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "count": report.count,
-                    "sigma_hat": report.sigma_hat,
-                    "threshold_abs": report.threshold_abs,
-                    "mode": report.mode,
-                    "indices": [int(i) for i in report.indices],
-                    "ingest": {"n": ingest.n, "filled": len(ingest.filled_timestamps)},
-                }
-            )
-        )
+        ingest_fields = {"n": ingest.n, "filled": len(ingest.filled_timestamps)}
+        print(json.dumps({**_report_fields(report), "indices": report.indices.tolist(), "ingest": ingest_fields}))
     else:
         print(f"count: {report.count}")
         print(f"sigma_hat: {report.sigma_hat:.6g}")
@@ -136,10 +133,7 @@ def _cmd_estimate(args) -> int:
         "lambda_ci": list(est.lambda_ci),
         "beta_hat": est.beta_hat,
         "slope_hat": est.slope_hat,
-        "count": report.count,
-        "sigma_hat": report.sigma_hat,
-        "threshold_abs": report.threshold_abs,
-        "mode": report.mode,
+        **_report_fields(report),
         "moments": {str(m): v for m, v in est.moment_estimates.items()},
         "flags": asdict(est.flags),
     }
@@ -237,9 +231,23 @@ def _cmd_price_strip(args) -> int:
     return 0
 
 
+def _write_study(args, stem: str, rows, write_csv, summary, noun: str) -> int:
+    """Write <out>/<stem>.csv and <out>/<stem>.json, then print the summary or name the two files."""
+    os.makedirs(args.out, exist_ok=True)
+    csv_path, json_path = (os.path.join(args.out, f"{stem}.{ext}") for ext in ("csv", "json"))
+    write_csv(rows, csv_path)
+    with open(json_path, "w") as handle:
+        json.dump(summary, handle, indent=2)
+    if args.json:
+        print(json.dumps(summary))
+    else:
+        print(f"wrote {csv_path} and {json_path} ({len(rows)} {noun})")
+    return 0
+
+
 def _cmd_study_estimation(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    modes = tuple(args.modes.split(",")) if args.modes else (PLAIN, SIGN_FILTERED)
+    modes = tuple(args.modes.split(",")) if args.modes else StudyConfig.modes
     study = StudyConfig(
         pairs=tuple(cfgmod.build_study_pairs(cfg)),
         replications=args.reps,
@@ -251,17 +259,7 @@ def _cmd_study_estimation(args) -> int:
         modes=modes,
     )
     rows = run_estimation_study(study, workers=args.workers)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "estimation_study.csv")
-    json_path = os.path.join(args.out, "estimation_study.json")
-    study_rows_to_csv(rows, csv_path)
-    with open(json_path, "w") as handle:
-        json.dump(study_summary(rows), handle, indent=2)
-    if args.json:
-        print(json.dumps(study_summary(rows)))
-    else:
-        print(f"wrote {csv_path} and {json_path} ({len(rows)} rows)")
-    return 0
+    return _write_study(args, "estimation_study", rows, study_rows_to_csv, study_summary(rows), "rows")
 
 
 def _cmd_study_pricing(args) -> int:
@@ -284,27 +282,7 @@ def _cmd_study_pricing(args) -> int:
         antithetic=args.antithetic,
     )
     rows = run_pricing_study(study)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "pricing_study.csv")
-    pricing_rows_to_csv(rows, csv_path)
-    summary = [
-        {
-            "strike": row.strike,
-            "without": {"estimate": row.without_spikes.estimate, "ci95": list(row.without_spikes.ci95)},
-            "with": {"estimate": row.with_spikes.estimate, "ci95": list(row.with_spikes.ci95)},
-            "premium": row.spike_premium,
-            "premium_ci95": list(row.premium_ci95),
-        }
-        for row in rows
-    ]
-    json_path = os.path.join(args.out, "pricing_study.json")
-    with open(json_path, "w") as handle:
-        json.dump(summary, handle, indent=2)
-    if args.json:
-        print(json.dumps(summary))
-    else:
-        print(f"wrote {csv_path} and {json_path} ({len(rows)} strikes)")
-    return 0
+    return _write_study(args, "pricing_study", rows, pricing_rows_to_csv, pricing_summary(rows), "strikes")
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +301,22 @@ def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_detection_flags(parser: argparse.ArgumentParser, include_mode: bool = True) -> None:
     if include_mode:
-        parser.add_argument("--mode", choices=(PLAIN, SIGN_FILTERED), default=SIGN_FILTERED)
+        parser.add_argument("--mode", choices=(PLAIN, SIGN_FILTERED), default=DetectionConfig.mode)
         parser.add_argument(
             "--min-gap", type=int, default=0, help="post-filter: minimum index gap between flags (off by default)"
         )
-    parser.add_argument("--C", type=float, default=5.0, help="threshold constant (default 5)")
-    parser.add_argument("--varpi", type=float, default=0.01, help="threshold exponent (default 0.01)")
-    parser.add_argument("--mpv-order", type=int, default=20, help="multipower order (default 20)")
+    shown = "(default %(default)s)"
+    parser.add_argument("--C", type=float, default=DetectionConfig.constant, help=f"threshold constant {shown}")
+    parser.add_argument("--varpi", type=float, default=DetectionConfig.exponent, help=f"threshold exponent {shown}")
+    parser.add_argument("--mpv-order", type=int, default=DetectionConfig.mpv_order, help=f"multipower order {shown}")
+
+
+def _add_strip_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--exercises", default="hourly", help="hourly | csv:<file>")
+    parser.add_argument("--sims", type=int, default=10_000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--antithetic", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,51 +325,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spiky electricity-price simulation, estimation and pricing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")  # price-strip's output is JSON either way
 
-    p = sub.add_parser("simulate", help="simulate a spot path to CSV")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("simulate", _cmd_simulate, "simulate a spot path to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", default=None, help="jump sidecar (default <out>.truth.csv)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("detect", help="detect jump increments in a series")
+    p = command("detect", _cmd_detect, "detect jump increments in a series")
     _add_ingest_flags(p)
     _add_detection_flags(p)
     p.add_argument("--out", default=None, help="write flagged increments to CSV")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("estimate", help="estimate spike intensity and reversion")
+    p = command("estimate", _cmd_estimate, "estimate spike intensity and reversion")
     _add_ingest_flags(p)
     _add_detection_flags(p)
     p.add_argument("--horizon-years", type=float, default=None, help="span in years for per-year rates")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("price-forward", help="spike correction to a forward price")
+    p = command("price-forward", _cmd_price_forward, "spike correction to a forward price")
     p.add_argument("--config", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--theta", type=float, default=None, help="delivery-period length")
     p.add_argument("--log-model", action="store_true", help="multiplicative (log-price) model")
     p.add_argument("--z-now", type=float, default=0.0, help="current spike level")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_price_forward)
 
-    p = sub.add_parser("price-strip", help="Monte Carlo strip-of-calls price")
-    p.add_argument("--config", required=True)
+    p = command("price-strip", _cmd_price_strip, "Monte Carlo strip-of-calls price")
+    _add_strip_flags(p)
     p.add_argument("--strike", type=float, required=True)
-    p.add_argument("--exercises", default="hourly", help="hourly | csv:<file>")
-    p.add_argument("--sims", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-spikes", action="store_true")
-    p.add_argument("--antithetic", action="store_true")
-    p.add_argument("--json", action="store_true")  # output is already JSON
-    p.set_defaults(func=_cmd_price_strip)
 
-    p = sub.add_parser("study-estimation", help="estimator performance study")
+    p = command("study-estimation", _cmd_study_estimation, "estimator performance study")
     p.add_argument("--config", required=True)
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
@@ -390,19 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default=None, help="comma-separated: plain,signfiltered")
     p.add_argument("--workers", type=int, default=1)
     _add_detection_flags(p, include_mode=False)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_study_estimation)
 
-    p = sub.add_parser("study-pricing", help="strip-option study with/without spikes")
-    p.add_argument("--config", required=True)
+    p = command("study-pricing", _cmd_study_pricing, "strip-option study with/without spikes")
+    _add_strip_flags(p)
     p.add_argument("--strikes", default="100,200,300")
-    p.add_argument("--exercises", default="hourly")
-    p.add_argument("--sims", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--antithetic", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_study_pricing)
 
     return parser
 

@@ -90,7 +90,7 @@ def load_config(path: str) -> Dict[str, str]:
 
 
 def load_floats(path: str) -> np.ndarray:
-    """The numbers of a text file, one a line; a bad or empty file raises a ConfigError naming it."""
+    """The finite numbers of a text file, one a line; a bad or empty file raises a ConfigError naming it."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # numpy's note on an empty file
@@ -99,6 +99,9 @@ def load_floats(path: str) -> np.ndarray:
         raise ConfigError(f"{path}: {exc}") from None
     if values.ndim != 1 or values.size == 0:
         raise ConfigError(f"{path}: expected one number a line and at least one line")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ConfigError(f"{path}: numbers must be finite, got {values[~finite][0]}")
     return values
 
 

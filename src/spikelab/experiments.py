@@ -16,6 +16,7 @@ The observed paths are simulated a block at a time
 from __future__ import annotations
 
 import csv
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -45,6 +46,7 @@ __all__ = [
     "run_pricing_study",
     "study_rows_to_csv",
     "study_summary",
+    "pricing_summary",
     "pricing_rows_to_csv",
 ]
 
@@ -190,6 +192,11 @@ class PricingStudyConfig:
     master_seed: int = 0
     antithetic: bool = False
 
+    def __post_init__(self):
+        for k, strike in enumerate(self.strikes):
+            if strike in self.strikes[:k]:
+                raise ValueError(f"strike {strike} is repeated")
+
 
 @dataclass(frozen=True)
 class PricingStudyRow:
@@ -263,7 +270,27 @@ def study_summary(rows: Sequence[StudyRow]) -> dict:
     return {"rows": [asdict(row) for row in rows]}
 
 
+def pricing_summary(rows: Sequence[PricingStudyRow]) -> List[dict]:
+    """One record a strike: both prices with their CIs, the premium and its paired CI."""
+    return [
+        {
+            "strike": row.strike,
+            "without": {"estimate": row.without_spikes.estimate, "ci95": list(row.without_spikes.ci95)},
+            "with": {"estimate": row.with_spikes.estimate, "ci95": list(row.with_spikes.ci95)},
+            "premium": row.spike_premium,
+            "premium_ci95": list(row.premium_ci95),
+        }
+        for row in rows
+    ]
+
+
 def pricing_rows_to_csv(rows: Sequence[PricingStudyRow], path: str) -> None:
+    """Each ``pricing_summary`` record as one CSV row, its numbers flattened in key order."""
+    # the JSON parser hands each object to the hook innermost first, so a
+    # record arrives with its nested objects already flattened to lists
+    records = json.loads(
+        json.dumps(pricing_summary(rows)), object_hook=lambda record: np.hstack(list(record.values())).tolist()
+    )
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
@@ -280,18 +307,4 @@ def pricing_rows_to_csv(rows: Sequence[PricingStudyRow], path: str) -> None:
                 "premium_ci_hi",
             ]
         )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.strike,
-                    row.without_spikes.estimate,
-                    row.without_spikes.ci95[0],
-                    row.without_spikes.ci95[1],
-                    row.with_spikes.estimate,
-                    row.with_spikes.ci95[0],
-                    row.with_spikes.ci95[1],
-                    row.spike_premium,
-                    row.premium_ci95[0],
-                    row.premium_ci95[1],
-                ]
-            )
+        writer.writerows(records)

@@ -27,15 +27,10 @@ are untouched.  Since fb(T,T) = Z_T, the spot at an exercise date is just the
 martingale two-factor value plus the simulated spike process.  The settings
 with and without spikes are priced from one ensemble: each batch of paths
 has one child stream for its Gaussian factors and one for its jumps, and is
-walked along the grid in chunks of columns, every strike's payoffs of both
-settings accumulated chunk by chunk, so memory is O(batch x chunk) at any
-grid length.  Each path's payoff is summed in exercise-time order, the
-running sum carried into each chunk, so no price depends on the chunk length.
-While a chunk's payoffs are summed, a helper thread that lives for one walk
-draws the next chunk's factor normals (chunk 0 is drawn inline).  The factor
-stream is never used by two threads at once, so every seeded price is
-unchanged, and memory stays O(batch x chunk) plus one chunk of normals in
-flight (512 kB at 512 paths).
+walked along the grid in chunks by ``simulate.spot_chunks`` (the ``simulate``
+module docstring gives the walk, its memory and its helper thread).  Each
+path's payoff is summed in exercise-time order, the running sum carried into
+each chunk, so no price depends on the chunk length.
 """
 
 from __future__ import annotations
@@ -76,6 +71,9 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 def _check_strip(exercise_times, num_sims: int) -> np.ndarray:
     times = np.asarray(exercise_times, dtype=float)
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise ValueError(f"exercise times must be finite, got {times[~finite][0]}")
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("exercise times must be a nonempty increasing sequence")
     if times[0] <= 0:

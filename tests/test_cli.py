@@ -7,14 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
+from spikelab import cli
 from spikelab.cli import (
     GAP_FFILL1,
     DEDUP_KEEP_FIRST,
     IngestError,
     IngestRules,
+    build_parser,
     dispatch,
     load_spot_csv,
 )
+from spikelab.detect import DetectionConfig, detect_jumps
 from spikelab.config import load_config, build_model
 from spikelab.simulate import make_rng, simulate_spot
 
@@ -160,6 +163,38 @@ class TestDispatch:
         with pytest.raises(SystemExit) as info:
             dispatch(["estimate", "--nonsense"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "m.cfg", "--out", "sim.csv"],
+            ["detect", "--in", "x.csv"],
+            ["estimate", "--in", "x.csv"],
+            ["price-forward", "--config", "m.cfg", "--t", "0", "--T", "1"],
+            ["price-strip", "--config", "m.cfg", "--strike", "40"],
+            ["study-estimation", "--config", "m.cfg", "--out", "out"],
+            ["study-pricing", "--config", "m.cfg", "--out", "out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_subcommand_accepts_json(self, argv):
+        assert not build_parser().parse_args(argv).json
+        assert build_parser().parse_args([*argv, "--json"]).json
+
+    @pytest.mark.parametrize("command", ["detect", "estimate", "study-estimation"])
+    def test_detection_flags_default_to_the_detection_config(self, tmp_path, capsys, monkeypatch, command):
+        built = []
+        monkeypatch.setattr(cli, "detect_jumps", lambda path, config: built.append(config) or detect_jumps(path, config))
+        monkeypatch.setattr(cli, "run_estimation_study", lambda study, workers: built.append(study.detection) or [])
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(MODEL_CFG + "study.pairs = 10:200\n")
+        path = write_csv(tmp_path, [f"{t},{30.0 + t % 2}" for t in range(30)])
+        if command == "study-estimation":
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        else:
+            argv = [command, "--in", path]
+        assert dispatch(argv) == 0
+        assert built == [DetectionConfig()]
 
     def test_study_workers_below_one_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.cfg"
@@ -382,6 +417,12 @@ class TestDispatch:
                 "--strikes must be comma-separated numbers, got '100,,200'",
                 id="empty-strike-between-commas",
             ),
+            pytest.param(
+                TWO_FACTOR_CFG,
+                ["study-pricing", "--config", "{cfg}", "--sims", "4", "--out", "{tmp}/out", "--strikes", "100,100"],
+                "strike 100.0 is repeated",
+                id="repeated-strike",
+            ),
         ],
     )
     def test_bad_input_fails_in_one_line(self, tmp_path, capsys, config_text, argv, message):
@@ -395,8 +436,13 @@ class TestDispatch:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("", "expected one number a line and at least one line"), ("1.5\nt\n", "could not convert string 't'")],
-        ids=["empty", "non-numeric"],
+        [
+            ("", "expected one number a line and at least one line"),
+            ("1.5\nt\n", "could not convert string 't'"),
+            ("0.5\nnan\n", "numbers must be finite, got nan"),
+            ("0.5\ninf\n", "numbers must be finite, got inf"),
+        ],
+        ids=["empty", "non-numeric", "nan", "inf"],
     )
     @pytest.mark.parametrize("source", ["exercises", "samples-file"])
     def test_bad_number_file_fails_in_one_line_naming_it(self, tmp_path, capsys, source, text, message):
@@ -588,6 +634,13 @@ class TestDispatch:
         assert status == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows == json.loads((out_dir / "pricing_study.json").read_text())
+        lines = list(csv.reader((out_dir / "pricing_study.csv").read_text().splitlines()))
+        flattened = [
+            [r["strike"], r["without"]["estimate"], *r["without"]["ci95"], r["with"]["estimate"], *r["with"]["ci95"]]
+            + [r["premium"], *r["premium_ci95"]]
+            for r in rows
+        ]
+        assert lines[1:] == [[repr(value) for value in record] for record in flattened]
         assert [list(row) for row in rows] == [["strike", "without", "with", "premium", "premium_ci95"]] * 2
         lo, hi = rows[0]["premium_ci95"]
         assert lo < rows[0]["premium"] < hi

@@ -240,6 +240,10 @@ class TestPricingStudy:
                 assert price == alone
             assert row.spike_premium == row.with_spikes.estimate - row.without_spikes.estimate
 
+    def test_repeated_strike_rejected(self):
+        with pytest.raises(ValueError, match=r"^strike 40.0 is repeated$"):
+            self.make_config((40.0, 60.0, 40.0))
+
     def test_csv_output(self, tmp_path):
         rows = run_pricing_study(self.make_config((40.0,)))
         out = tmp_path / "pricing.csv"

@@ -308,6 +308,16 @@ class TestStripPricing:
         with pytest.raises(ValueError, match="not on the simulation grid"):
             price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_exercise_time_rejected(self, bad):
+        grid, spec = tiny_strip_spec(40.0)
+        times = np.array([spec.exercise_times[0], bad])
+        message = f"^exercise times must be finite, got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            StripOptionSpec(times, 40.0, num_sims=100)
+        with pytest.raises(ValueError, match=message):
+            strip_payoffs(MARKET_TF, self.CURVE, (None,), grid, times, (40.0,), 100, make_rng(0))
+
     def test_upward_spikes_raise_high_strike_price(self):
         grid, spec = tiny_strip_spec(150.0, sims=4_000, seed=3)
         without = price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec)
