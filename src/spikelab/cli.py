@@ -5,6 +5,11 @@ study-estimation, study-pricing.  Exit codes: 0 success, 1 computation or
 input error (one-line diagnostic on stderr), 2 usage error.  Data goes to
 stdout, diagnostics to stderr; ``--json`` switches machine-readable output.
 
+The contract: output under ``--json`` is strict JSON, with no ``NaN`` or
+``Infinity`` token, and every bad input fails in one ``spikelab:`` line.
+Each subcommand returns its record and its text lines; ``dispatch`` alone
+prints them, and ``_json`` alone writes JSON, for stdout and the study files.
+
 ``detect`` and ``estimate`` read their series with ``ingest.load_spot_csv``;
 floats are written with ``repr`` so a simulate -> write -> load round trip is
 bit-exact.
@@ -37,7 +42,7 @@ from .experiments import (
 )
 from .ingest import DEDUP_KEEP_FIRST, DEDUP_REJECT, GAP_FFILL1, GAP_REJECT
 from .ingest import IngestError, IngestReport, IngestRules, load_spot_csv
-from .model import GridSpec, TwoFactorDynamics
+from .model import GridSpec, TwoFactorDynamics, finite, positive
 from .pricing import (
     StripOptionSpec,
     forward_spike_arith,
@@ -63,7 +68,7 @@ def _write_columns(path: str, header: List[str], *columns) -> None:
         writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     cfg = cfgmod.load_config(args.config)
     model = cfgmod.build_model(cfg)
     grid = cfgmod.build_grid(cfg)
@@ -72,11 +77,8 @@ def _cmd_simulate(args) -> int:
     _write_columns(args.out, ["t", "X", "Xc", "Z"], *columns)
     truth_path = args.truth_out or args.out + ".truth.csv"
     _write_columns(truth_path, ["t_jump", "size"], [rec.time for rec in sim.truth], [rec.size for rec in sim.truth])
-    if args.json:
-        print(json.dumps({"out": args.out, "truth": truth_path, "n": grid.n, "jumps": len(sim.truth)}))
-    else:
-        print(f"wrote {grid.n + 1} observations to {args.out} ({len(sim.truth)} jumps, truth in {truth_path})")
-    return 0
+    record = {"out": args.out, "truth": truth_path, "n": grid.n, "jumps": len(sim.truth)}
+    return record, [f"wrote {grid.n + 1} observations to {args.out} ({len(sim.truth)} jumps, truth in {truth_path})"]
 
 
 def _ingest_rules(args) -> IngestRules:
@@ -103,32 +105,31 @@ def _report_fields(report) -> dict:
     }
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args):
     path, ingest = load_spot_csv(args.infile, _ingest_rules(args))
     report = _detect_with_flags(path, args)
     if args.out:
         _write_columns(args.out, ["index", "increment"], report.indices, report.increments)
-    if args.json:
-        ingest_fields = {"n": ingest.n, "filled": len(ingest.filled_timestamps)}
-        print(json.dumps({**_report_fields(report), "indices": report.indices.tolist(), "ingest": ingest_fields}))
-    else:
-        print(f"count: {report.count}")
-        print(f"sigma_hat: {report.sigma_hat:.6g}")
-        print(f"threshold_abs: {report.threshold_abs:.6g}")
-        print(f"mode: {report.mode}")
-        print("indices: " + " ".join(str(int(i)) for i in report.indices))
-    return 0
+    ingest_fields = {"n": ingest.n, "filled": len(ingest.filled_timestamps)}
+    record = {**_report_fields(report), "indices": report.indices.tolist(), "ingest": ingest_fields}
+    return record, [
+        f"count: {report.count}",
+        f"sigma_hat: {report.sigma_hat:.6g}",
+        f"threshold_abs: {report.threshold_abs:.6g}",
+        f"mode: {report.mode}",
+        "indices: " + " ".join(str(int(i)) for i in report.indices),
+    ]
 
 
-def _cmd_estimate(args) -> int:
-    if args.horizon_years is not None and not 0 < args.horizon_years < float("inf"):
-        raise ValueError(f"--horizon-years must be positive and finite, got {args.horizon_years!r}")
+def _cmd_estimate(args):
+    if args.horizon_years is not None:
+        positive("--horizon-years", args.horizon_years)
     path, ingest = load_spot_csv(args.infile, _ingest_rules(args))
     report = _detect_with_flags(path, args)
     est = estimate_spikes(path, report)
     years = args.horizon_years if args.horizon_years is not None else ingest.span_years
 
-    payload = {
+    record = {
         "lambda_hat": est.lambda_hat,
         "lambda_ci": list(est.lambda_ci),
         "beta_hat": est.beta_hat,
@@ -138,37 +139,34 @@ def _cmd_estimate(args) -> int:
         "flags": asdict(est.flags),
     }
     if est.diagnostics is not None:
-        payload["diagnostics"] = asdict(est.diagnostics)
+        record["diagnostics"] = asdict(est.diagnostics)
+
+    lines = [
+        f"lambda_hat: {est.lambda_hat:.6g}  (95% CI {est.lambda_ci[0]:.6g} .. {est.lambda_ci[1]:.6g})",
+        f"beta_hat: {est.beta_hat:.6g}",
+        f"slope_hat: {est.slope_hat:.6g}",
+    ]
+    lines += [f"moment[{m}]: {'undefined' if v is None else f'{v:.6g}'}" for m, v in est.moment_estimates.items()]
+    if est.diagnostics is not None:
+        v = est.diagnostics.error_components
+        lines += [
+            f"bias_term: {est.diagnostics.bias_term:.4g}",
+            f"error_components: {v[0]:.4g} {v[1]:.4g} {v[2]:.4g} {v[3]:.4g}",
+            f"relative_error_bound: {est.diagnostics.relative_error_bound:.4g}",
+        ]
+    flags = [name for name in ("undefined", "floored") if getattr(est.flags, name)]
+    flags += [f"boundary_drops={est.flags.boundary_drops}"] if est.flags.boundary_drops else []
+    lines.append("flags: " + (", ".join(flags) if flags else "none"))
     if years:
-        payload["per_year"] = {"lambda_hat": est.lambda_hat / years, "beta_hat": est.beta_hat / years}
-
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"lambda_hat: {est.lambda_hat:.6g}  (95% CI {est.lambda_ci[0]:.6g} .. {est.lambda_ci[1]:.6g})")
-        print(f"beta_hat: {est.beta_hat:.6g}")
-        print(f"slope_hat: {est.slope_hat:.6g}")
-        for m, value in est.moment_estimates.items():
-            print(f"moment[{m}]: {'undefined' if value is None else f'{value:.6g}'}")
-        if est.diagnostics is not None:
-            v = est.diagnostics.error_components
-            print(f"bias_term: {est.diagnostics.bias_term:.4g}")
-            print(f"error_components: {v[0]:.4g} {v[1]:.4g} {v[2]:.4g} {v[3]:.4g}")
-            print(f"relative_error_bound: {est.diagnostics.relative_error_bound:.4g}")
-        flags = []
-        if est.flags.undefined:
-            flags.append("undefined")
-        if est.flags.floored:
-            flags.append("floored")
-        if est.flags.boundary_drops:
-            flags.append(f"boundary_drops={est.flags.boundary_drops}")
-        print("flags: " + (", ".join(flags) if flags else "none"))
-        if years:
-            print(f"per-year: lambda_hat {est.lambda_hat / years:.6g}, beta_hat {est.beta_hat / years:.6g}")
-    return 0
+        record["per_year"] = per_year = {
+            name: finite(f"per-year {name} over {years!r} years", getattr(est, name) / years)
+            for name in ("lambda_hat", "beta_hat")
+        }
+        lines.append("per-year: lambda_hat {lambda_hat:.6g}, beta_hat {beta_hat:.6g}".format(**per_year))
+    return record, lines
 
 
-def _cmd_price_forward(args) -> int:
+def _cmd_price_forward(args):
     cfg = cfgmod.load_config(args.config)
     spikes = cfgmod.build_spike_params(cfg)
     if args.log_model:
@@ -182,11 +180,8 @@ def _cmd_price_forward(args) -> int:
     else:
         value = forward_spike_arith(args.z_now, spikes, args.t, args.T)
         kind = "instant"
-    if args.json:
-        print(json.dumps({"kind": kind, "value": value, "t": args.t, "T": args.T, "theta": args.theta}))
-    else:
-        print(f"spike forward correction ({kind}): {value!r}")
-    return 0
+    record = {"kind": kind, "value": value, "t": args.t, "T": args.T, "theta": args.theta}
+    return record, [f"spike forward correction ({kind}): {value!r}"]
 
 
 def _exercise_times(spec_text: str, grid: GridSpec) -> np.ndarray:
@@ -204,7 +199,7 @@ def _two_factor(cfg, command: str) -> TwoFactorDynamics:
     return continuous
 
 
-def _cmd_price_strip(args) -> int:
+def _cmd_price_strip(args):
     cfg = cfgmod.load_config(args.config)
     continuous = _two_factor(cfg, "price-strip")
     grid = cfgmod.build_grid(cfg)
@@ -218,36 +213,27 @@ def _cmd_price_strip(args) -> int:
     price = price_strip_mc(
         continuous.params, continuous.curve, spikes, grid, spec, antithetic=args.antithetic
     )
-    print(
-        json.dumps(
-            {
-                "estimate": price.estimate,
-                "ci95": list(price.ci95),
-                "stderr": price.stderr,
-                "sims": price.num_sims,
-            }
-        )
-    )
-    return 0
+    record = {"estimate": price.estimate, "ci95": list(price.ci95), "stderr": price.stderr, "sims": price.num_sims}
+    return record, None  # JSON with or without --json
 
 
-def _write_study(args, stem: str, rows, write_csv, summary, noun: str) -> int:
-    """Write <out>/<stem>.csv and <out>/<stem>.json, then print the summary or name the two files."""
+def _write_study(args, stem: str, rows, write_csv, summary, noun: str):
+    """Write <out>/<stem>.csv and <out>/<stem>.json; return the summary and the line naming the two files.
+
+    The JSON text is built first, so a summary it rejects leaves neither file.
+    """
+    text = _json(summary, indent=2)
     os.makedirs(args.out, exist_ok=True)
     csv_path, json_path = (os.path.join(args.out, f"{stem}.{ext}") for ext in ("csv", "json"))
     write_csv(rows, csv_path)
     with open(json_path, "w") as handle:
-        json.dump(summary, handle, indent=2)
-    if args.json:
-        print(json.dumps(summary))
-    else:
-        print(f"wrote {csv_path} and {json_path} ({len(rows)} {noun})")
-    return 0
+        handle.write(text)
+    return summary, [f"wrote {csv_path} and {json_path} ({len(rows)} {noun})"]
 
 
-def _cmd_study_estimation(args) -> int:
+def _cmd_study_estimation(args):
     cfg = cfgmod.load_config(args.config)
-    modes = tuple(args.modes.split(",")) if args.modes else StudyConfig.modes
+    modes = tuple(args.modes.split(",")) if args.modes is not None else StudyConfig.modes
     study = StudyConfig(
         pairs=tuple(cfgmod.build_study_pairs(cfg)),
         replications=args.reps,
@@ -262,7 +248,7 @@ def _cmd_study_estimation(args) -> int:
     return _write_study(args, "estimation_study", rows, study_rows_to_csv, study_summary(rows), "rows")
 
 
-def _cmd_study_pricing(args) -> int:
+def _cmd_study_pricing(args):
     cfg = cfgmod.load_config(args.config)
     continuous = _two_factor(cfg, "study-pricing")
     grid = cfgmod.build_grid(cfg)
@@ -379,15 +365,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(record, indent: Optional[int] = None) -> str:
+    """The CLI's one JSON writer: strict JSON, so a NaN or infinity raises instead of printing."""
+    return json.dumps(record, allow_nan=False, indent=indent)
+
+
 def dispatch(argv: Optional[List[str]] = None) -> int:
-    """Route argv to a subcommand; return the process exit status."""
+    """Route argv to a subcommand, print its record or its text lines; return the process exit status.
+
+    A subcommand returns (record, lines); lines is None when it prints JSON either way.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        record, lines = args.func(args)
+        print(_json(record) if args.json or lines is None else "\n".join(lines))
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"spikelab: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

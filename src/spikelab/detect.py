@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .model import GridSpec, SampledPath
+from .model import GridSpec, SampledPath, positive
 
 __all__ = [
     "PLAIN",
@@ -65,8 +65,7 @@ class DetectionConfig:
     mode: str = SIGN_FILTERED
 
     def __post_init__(self):
-        if not self.constant > 0:
-            raise ValueError(f"threshold constant must be positive, got {self.constant}")
+        positive("threshold constant", self.constant)
         if not (0 <= self.exponent < 0.5):
             raise ValueError(f"exponent must lie in [0, 1/2), got {self.exponent}")
         if self.mpv_order < 2:
@@ -124,9 +123,8 @@ def multipower_variation(path: SampledPath, order: int = 20) -> float:
 
 def compute_threshold(config: DetectionConfig, sigma_hat: float, grid: GridSpec) -> float:
     """Absolute increment cutoff C * sigma_hat * mesh^(1/2 - varpi)."""
-    if not sigma_hat > 0:
-        raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
-    return config.constant * sigma_hat * grid.mesh ** (0.5 - config.exponent)
+    threshold = config.constant * positive("sigma_hat", sigma_hat) * grid.mesh ** (0.5 - config.exponent)
+    return positive(f"threshold at C = {config.constant}", threshold)
 
 
 def detect_jumps(

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import GridSpec, SampledPath
+from .model import GridSpec, SampledPath, positive
 
 __all__ = ["IngestRules", "IngestReport", "IngestError", "load_spot_csv"]
 
@@ -76,8 +76,8 @@ class IngestRules:
     dedup_policy: str = DEDUP_REJECT
 
     def __post_init__(self):
-        if self.expected_step is not None and not 0 < self.expected_step < np.inf:
-            raise ValueError(f"expected_step must be positive and finite, got {self.expected_step}")
+        if self.expected_step is not None:
+            positive("expected_step", self.expected_step)
         if self.gap_policy not in (GAP_REJECT, GAP_FFILL1):
             raise ValueError(f"unknown gap policy {self.gap_policy!r}")
         if self.dedup_policy not in (DEDUP_REJECT, DEDUP_KEEP_FIRST):
@@ -268,10 +268,11 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
         raise IngestError(f"{path}: non-finite price {float(prices[bad[0]])!r} at {where(bad[0])}")
 
     diffs = np.diff(times)
-    step = rules.expected_step if rules.expected_step is not None else _infer_step(diffs)
-    ratio = diffs / step
-    k = np.rint(ratio)
-    irregular = np.abs(ratio - k) > 1e-6 * np.maximum(k, 1)
+    with np.errstate(all="ignore"):  # a spacing no finite multiple of the step gives inf or nan: irregular
+        step = rules.expected_step if rules.expected_step is not None else _infer_step(diffs)
+        ratio = diffs / step
+        k = np.rint(ratio)
+        irregular = ~(np.abs(ratio - k) <= 1e-6 * np.maximum(k, 1))
     fill = (k == 2) & (rules.gap_policy == GAP_FFILL1)
     bad = np.flatnonzero(irregular | ((k != 1) & ~fill))
     if bad.size:

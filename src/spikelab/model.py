@@ -42,8 +42,24 @@ __all__ = [
     "ModelSpec",
     "AssumptionReport",
     "check_assumptions",
+    "finite",
+    "positive",
     "sign",
 ]
+
+
+def finite(name: str, value: float) -> float:
+    """``value`` when it is a finite number; otherwise a ValueError naming it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def positive(name: str, value: float) -> float:
+    """``value`` when it is positive and finite; otherwise a ValueError naming it."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def sign(x):
@@ -61,8 +77,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid needs n >= 2 increments, got n={self.n}")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        positive("horizon", self.horizon)
 
     @property
     def mesh(self) -> float:
@@ -322,10 +337,8 @@ class SpikeParams:
     law: JumpLaw
 
     def __post_init__(self):
-        if not (self.intensity > 0 and math.isfinite(self.intensity)):
-            raise ValueError(f"intensity must be positive, got {self.intensity}")
-        if not (self.reversion > 0 and math.isfinite(self.reversion)):
-            raise ValueError(f"reversion must be positive, got {self.reversion}")
+        positive("intensity", self.intensity)
+        positive("reversion", self.reversion)
 
 
 @dataclass(frozen=True)
@@ -344,10 +357,8 @@ class ExpOU:
         # a reversion of 0 is the Brownian limit of the log leg
         if not 0 <= self.reversion < math.inf:
             raise ValueError(f"reversion must be nonnegative and finite, got {self.reversion}")
-        if not 0 < self.vol < math.inf:
-            raise ValueError(f"vol must be positive and finite, got {self.vol}")
-        if not 0 < self.initial < math.inf:
-            raise ValueError(f"initial must be positive and finite, got {self.initial}")
+        positive("vol", self.vol)
+        positive("initial", self.initial)
 
 
 @dataclass(frozen=True)
@@ -357,8 +368,7 @@ class Flat:
     level: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.level):
-            raise ValueError(f"level must be finite, got {self.level}")
+        finite("level", self.level)
 
 
 @dataclass(frozen=True)
@@ -372,8 +382,7 @@ class TwoFactorParams:
 
     def __post_init__(self):
         for name in ("alpha", "sigma_s", "sigma_l"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            positive(name, getattr(self, name))
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
 

@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ForwardCurve, GridSpec, SpikeParams, TwoFactorParams
+from .model import ForwardCurve, GridSpec, SpikeParams, TwoFactorParams, finite, positive
 from .simulate import make_rng, spot_chunks
 
 # defined in model; benchmarks/workloads.py still imports it from here
@@ -108,8 +108,7 @@ class PriceWithCI:
 def _decay(z_now: float, params: SpikeParams, t: float, maturity: float) -> float:
     """exp(-beta (T - t)), once t, T and z_now are finite and T does not precede t."""
     for name, value in (("valuation time t", t), ("maturity T", maturity), ("spike level z_now", z_now)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        finite(name, value)
     if maturity < t:
         raise ValueError("maturity must not precede the valuation time")
     return math.exp(-params.reversion * (maturity - t))
@@ -135,8 +134,7 @@ def forward_spike_delivery(
     Equals the average (1/theta) int_T^{T+theta} fb(t, u) du; the decaying
     part picks up the factor (1 - exp(-beta theta)) / (beta theta).
     """
-    if not theta > 0:
-        raise ValueError(f"delivery period must be positive, got {theta}")
+    positive("delivery period", theta)
     beta = params.reversion
     return _forward_spike(z_now, params, t, maturity, -math.expm1(-beta * theta) / (beta * theta))
 
@@ -234,6 +232,10 @@ def strip_payoffs(
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0 or not np.all(np.isfinite(strikes)):
         raise ValueError("strikes must be a nonempty sequence of finite numbers")
+    # a strike K below every spot pays about -K a date, and the price sums num_sims units of
+    # cols.size dates: keep that sum inside half the float range, the spots taking the rest
+    if -float(strikes.min()) * (cols.size * num_sims) > sys.float_info.max / 2:
+        raise ValueError(f"strike {strikes.min()} makes the strip payoff sums overflow a float")
     if not settings or any(spikes is not None for spikes in settings[:-1]):
         raise ValueError("only the last of the spike settings may have spikes")
     if antithetic and num_sims % 2:

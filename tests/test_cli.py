@@ -1,11 +1,17 @@
 """CSV ingestion rules and the command-line surface."""
 
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikelab import cli
 from spikelab.cli import (
@@ -330,13 +336,13 @@ class TestDispatch:
             pytest.param(
                 MODEL_CFG.replace("lambda = 10", "lambda = -1"),
                 ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
-                "intensity must be positive, got -1.0",
+                "intensity must be positive and finite, got -1.0",
                 id="negative-lambda",
             ),
             pytest.param(
                 MODEL_CFG.replace("beta = 200", "beta = inf"),
                 ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.01"],
-                "reversion must be positive, got inf",
+                "reversion must be positive and finite, got inf",
                 id="infinite-beta",
             ),
             pytest.param(
@@ -348,7 +354,7 @@ class TestDispatch:
             pytest.param(
                 MODEL_CFG,
                 ["estimate", "--in", "{csv}", "--C", "0"],
-                "threshold constant must be positive, got 0.0",
+                "threshold constant must be positive and finite, got 0.0",
                 id="zero-threshold-constant",
             ),
             pytest.param(
@@ -422,6 +428,55 @@ class TestDispatch:
                 ["study-pricing", "--config", "{cfg}", "--sims", "4", "--out", "{tmp}/out", "--strikes", "100,100"],
                 "strike 100.0 is repeated",
                 id="repeated-strike",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["estimate", "--in", "{csv}", "--C", "inf", "--json"],
+                "threshold constant must be positive and finite, got inf",
+                id="infinite-threshold-constant",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["estimate", "--in", "{csv}", "--C", "1e308", "--json"],
+                "threshold at C = 1e+308 must be positive and finite, got inf",
+                id="threshold-overflows",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.05", "--theta", "inf", "--json"],
+                "delivery period must be positive and finite, got inf",
+                id="infinite-delivery-period",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                # C = 0.01 flags every increment, so lambda_hat is positive and its per-year rate overflows
+                ["estimate", "--in", "{csv}", "--C", "0.01", "--horizon-years", "1e-310", "--json"],
+                "per-year lambda_hat over 1e-310 years must be finite, got inf",
+                id="per-year-rate-overflows",
+            ),
+            pytest.param(
+                MODEL_CFG + "study.pairs = 10:200\n",
+                ["study-estimation", "--config", "{cfg}", "--reps", "2", "--out", "{tmp}/out", "--modes", ""],
+                "unknown mode ''",
+                id="empty-modes",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["estimate", "--in", "{csv}", "--step", "1e-320"],
+                "irregular spacing 1.0 after row 1 (t=0.0); expected multiples of 1e-320",
+                id="subnormal-step",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG,
+                ["price-strip", "--config", "{cfg}", "--sims", "8", "--strike=-1e307"],
+                "strike -1e+307 makes the strip payoff sums overflow a float",
+                id="strike-overflows-payoff",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG,
+                ["study-pricing", "--config", "{cfg}", "--sims", "8", "--out", "{tmp}/out", "--strikes=-1e307"],
+                "strike -1e+307 makes the strip payoff sums overflow a float",
+                id="study-strike-overflows-payoff",
             ),
         ],
     )
@@ -791,3 +846,96 @@ class TestTextOutput:
         csv_path, json_path = out_dir / "pricing_study.csv", out_dir / "pricing_study.json"
         assert text == f"wrote {csv_path} and {json_path} (2 strikes)\n"
         assert len(json.loads(json_path.read_text())) == 2
+
+
+# The CLI contract, generated from the parser.  argv for a subcommand takes
+# every flag of its parser: each numeric flag one of the boundary values
+# below, so a new flag is covered without editing this test; each text flag a
+# value from CONTRACT_TEXT, which a new text flag must join.
+CONTRACT_FLOATS = ["0", "-1", "-0.0", "0.5", "3", "1e-310", "1e308", "-1e308", "inf", "-inf", "nan"]
+CONTRACT_INTS = [0, -1, 1, 3, 2**31]
+# the draws stay small: few processes, paths and replications (the configs have n <= 2,000)
+CONTRACT_INT_CAPS = {"workers": 2, "sims": 256, "reps": 8}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """Small configs (exp-OU n = 2,000 and a two-factor grid of 48 steps), a simulated series and an exercise file."""
+    root = tmp_path_factory.mktemp("contract")
+    pairs = "study.pairs = 10:200\n"
+    expou, two_factor = root / "expou.cfg", root / "twofactor.cfg"
+    expou.write_text(MODEL_CFG.replace("grid.n = 10000", "grid.n = 2000") + pairs)
+    two_factor.write_text(TWO_FACTOR_CFG.replace("grid.n = 100", "grid.n = 48") + pairs)
+    (root / "exercises.txt").write_text("0.25\n0.5\n")
+    series = str(root / "series.csv")
+    assert dispatch(["simulate", "--config", str(expou), "--seed", "1", "--out", series]) == 0
+    return {
+        "config": [str(expou), str(two_factor)],
+        "infile": [series],
+        "exercises": ["hourly", f"csv:{root / 'exercises.txt'}", "daily"],
+        "strikes": ["30,40", "", "40,40", "-1e307", "nan"],
+        "modes": ["plain", "signfiltered,plain", "", "bogus"],
+        "time_col": ["t", "X", "missing"],
+        "price_col": ["X", "t", "missing"],
+    }
+
+
+@st.composite
+def contract_argv(draw, text_values, out):
+    """A subcommand's argv under --json: its required flags and up to two others, each value from its table."""
+    subcommands = next(action for action in build_parser()._actions if action.dest == "command").choices
+    command = draw(st.sampled_from(sorted(subcommands)))
+    actions = [action for action in subcommands[command]._actions if action.dest not in ("help", "json")]
+    optional = [action for action in actions if not action.required]
+    chosen = draw(st.lists(st.sampled_from(optional), max_size=2, unique=True))
+    argv = [command, "--json"]  # the text lines are built under --json too, so both outputs are checked
+    for action in actions:
+        flag = action.option_strings[-1]
+        if not (action.required or action in chosen):
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if action.choices:
+            values = action.choices
+        elif action.type is float:
+            values = CONTRACT_FLOATS
+        elif action.type is int:
+            cap = CONTRACT_INT_CAPS.get(action.dest)
+            values = CONTRACT_INTS if cap is None else [v for v in CONTRACT_INTS if v < cap] + [cap]
+        elif action.dest in ("out", "truth_out"):
+            values = [os.path.join(out, action.dest)]
+        else:
+            values = text_values[action.dest]
+        argv.append(f"{flag}={draw(st.sampled_from(values))}")  # '=' keeps a value like -inf from reading as a flag
+    return argv
+
+
+def reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+class TestContract:
+    """Every exit 0 under --json prints strict JSON, every exit 1 one ``spikelab:`` line, and nothing warns."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_argv_keeps_the_contract(self, contract_inputs, data):
+        with tempfile.TemporaryDirectory() as out:
+            argv = data.draw(contract_argv(contract_inputs, out))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                try:
+                    status = dispatch(argv)
+                except SystemExit as exc:
+                    status = exc.code
+                    assert status == 2 and "usage:" in stderr.getvalue()  # only argparse exits
+        if status == 0:
+            json.loads(stdout.getvalue().splitlines()[-1], parse_constant=reject_constant)
+            assert stderr.getvalue() == ""
+        elif status == 1:
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("spikelab: ") and stderr.getvalue().count("\n") == 1
+        else:
+            assert status == 2

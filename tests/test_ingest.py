@@ -236,6 +236,26 @@ class TestMessages:
         with pytest.raises(ValueError, match=f"^expected_step must be positive and finite, got {step}$"):
             IngestRules(expected_step=step)
 
+    @pytest.mark.parametrize(
+        "text, rules, message",
+        [
+            # 1 / 1e-320 overflows: the spacing is no finite multiple of the step
+            (
+                "t,price\n0,1.0\n1,2.0\n2,3.0\n",
+                {"expected_step": 1e-320},
+                r"irregular spacing 1.0 after row 1 \(t=0.0\); expected multiples of 1e-320$",
+            ),
+            # an inferred step from a subnormal spacing
+            ("t,price\n0,1.0\n1e-320,2.0\n1,3.0\n2,4.0\n", {}, r"irregular spacing 1e-320 after row 1 \(t=0.0\)"),
+        ],
+        ids=["given-step", "inferred-step"],
+    )
+    def test_spacing_no_finite_multiple_of_the_step_names_it(self, tmp_path, text, rules, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestError, match=message):
+                load(tmp_path, text, **rules)
+
     def test_cli_non_finite_price_exits_one_with_one_line(self, tmp_path, capsys):
         path = write(tmp_path, "t,price\n" + "\n".join(HOURLY[:2]) + "\n2016-01-01T02:00:00,nan\n")
         assert dispatch(["estimate", "--in", path, "--json"]) == 1

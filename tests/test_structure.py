@@ -15,7 +15,8 @@ modules and memory that ``import spikelab`` costs; a child process checks the
 import itself.  The layers that ``benchmarks/spans.py`` wraps for a traced
 benchmark run (``--trace 1``) must exist where it looks them up, so a cleanup
 that moves or renames one fails here and not only under ``python -m pytest
-benchmarks``.
+benchmarks``.  In ``cli`` only ``_json`` writes JSON and only ``dispatch``
+prints, so no subcommand prints a record past the strict writer.
 """
 
 import ast
@@ -215,3 +216,38 @@ def test_importing_the_package_loads_no_scipy_signal_or_stats():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def callers(tree: ast.Module, is_callee) -> set:
+    """Names of the functions of a module whose bodies make a call that ``is_callee`` accepts."""
+    return {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and is_callee(node.func)
+    }
+
+
+def is_json_write(func: ast.expr) -> bool:
+    is_json = getattr(getattr(func, "value", None), "id", None) == "json"
+    return isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps") and is_json
+
+
+def is_print(func: ast.expr) -> bool:
+    return isinstance(func, ast.Name) and func.id == "print"
+
+
+def test_cli_writes_json_in_one_function_and_prints_in_one():
+    # _json is strict (allow_nan=False); a second writer or printer could let NaN or a stray line out
+    assert callers(MODULES["cli"], is_json_write) == {"_json"}
+    assert callers(MODULES["cli"], is_print) == {"dispatch"}
+
+
+def test_json_writers_and_printers_are_seen():
+    tree = ast.parse(
+        "def a():\n    json.dumps(x)\ndef b(h):\n    json.dump(x, h)\n    print(x)\n"
+        "def c():\n    obj.json.dumps(x)\n    pprint(x)\n    self.print(x)"
+    )
+    assert callers(tree, is_json_write) == {"a", "b"}
+    assert callers(tree, is_print) == {"b"}
