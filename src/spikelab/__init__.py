@@ -6,7 +6,6 @@ speed, and forward / strip-option pricing with spike corrections.
 """
 
 from .model import (
-    AssumptionReport,
     Empirical,
     ExpOU,
     Flat,
@@ -19,7 +18,6 @@ from .model import (
     SpikeParams,
     TwoFactorDynamics,
     TwoFactorParams,
-    check_assumptions,
 )
 from .simulate import (
     JumpRecord,
@@ -40,6 +38,7 @@ from .detect import (
     compute_threshold,
     detect_jumps,
     multipower_variation,
+    regime,
 )
 from .estimate import (
     AsymptoticDiagnostics,

@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import config as cfgmod
-from .detect import PLAIN, SIGN_FILTERED, DetectionConfig, apply_min_gap, detect_jumps
+from .detect import PLAIN, SIGN_FILTERED, DetectionConfig, detect_jumps
 from .estimate import estimate_spikes
 from .experiments import (
     PricingStudyConfig,
@@ -89,10 +89,7 @@ def _ingest_rules(args) -> IngestRules:
 
 def _detect_with_flags(path, args):
     config = DetectionConfig(constant=args.C, exponent=args.varpi, mpv_order=args.mpv_order, mode=args.mode)
-    report = detect_jumps(path, config)
-    if args.min_gap > 1:
-        report = apply_min_gap(report, args.min_gap)
-    return report
+    return detect_jumps(path, config)
 
 
 def _report_fields(report) -> dict:
@@ -288,9 +285,6 @@ def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
 def _add_detection_flags(parser: argparse.ArgumentParser, include_mode: bool = True) -> None:
     if include_mode:
         parser.add_argument("--mode", choices=(PLAIN, SIGN_FILTERED), default=DetectionConfig.mode)
-        parser.add_argument(
-            "--min-gap", type=int, default=0, help="post-filter: minimum index gap between flags (off by default)"
-        )
     shown = "(default %(default)s)"
     parser.add_argument("--C", type=float, default=DetectionConfig.constant, help=f"threshold constant {shown}")
     parser.add_argument("--varpi", type=float, default=DetectionConfig.exponent, help=f"threshold exponent {shown}")

@@ -15,6 +15,12 @@ Two modes:
   a genuine jump the reversion pulls the next increment the opposite way,
   while consecutive relaxation increments share their sign, so the filter
   drops them.
+
+``regime`` names the asymptotic setting of (intensity, reversion) on a grid,
+at the threshold exponent varpi: "II", where sign-filtered detection holds,
+when reversion * mesh^(1/2 - varpi) >= 1 (the per-step relaxation dominates
+the Brownian scale); otherwise "I", where plain detection holds, when
+intensity^2 * mesh < 0.1 and reversion * mesh < 1; otherwise "neither".
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ __all__ = [
     "multipower_variation",
     "compute_threshold",
     "detect_jumps",
-    "apply_min_gap",
+    "regime",
 ]
 
 PLAIN = "plain"
@@ -162,24 +168,20 @@ def detect_jumps(
     )
 
 
-def apply_min_gap(report: DetectionReport, min_gap: int) -> DetectionReport:
-    """Optional post-filter: greedily drop flags closer than min_gap to the
-    last kept one.  min_gap <= 1 keeps everything (adjacent flags allowed);
-    the estimators consume unfiltered flags by default.
+# the cutoff standing in for "lambda^2 * mesh small" in regime I
+_SMALL = 0.1
+
+
+def regime(intensity: float, reversion: float, grid: GridSpec, detection: DetectionConfig) -> str:
+    """The regime "I", "II" or "neither" of (intensity, reversion) on ``grid``.
+
+    The rule is the module's, at ``detection.exponent``; "II" wins where both hold.
     """
-    if min_gap <= 1 or report.count == 0:
-        return report
-    kept = [int(report.indices[0])]
-    for idx in report.indices[1:]:
-        if int(idx) - kept[-1] >= min_gap:
-            kept.append(int(idx))
-    kept = np.asarray(kept, dtype=report.indices.dtype)
-    positions = np.searchsorted(report.indices, kept)
-    return DetectionReport(
-        indices=kept,
-        increments=report.increments[positions],
-        count=int(kept.size),
-        sigma_hat=report.sigma_hat,
-        threshold_abs=report.threshold_abs,
-        mode=report.mode,
-    )
+    positive("intensity", intensity)
+    positive("reversion", reversion)
+    mesh = grid.mesh
+    if reversion * mesh ** (0.5 - detection.exponent) >= 1.0:
+        return "II"
+    if intensity * intensity * mesh < _SMALL and reversion * mesh < 1.0:
+        return "I"
+    return "neither"

@@ -206,9 +206,16 @@ def _read_columns(path: str, ts_idx: int, px_idx: int, header_lines: int):
 
 
 def _infer_step(diffs: np.ndarray) -> float:
-    """Modal spacing of strictly increasing timestamps, in multiples of the smallest."""
-    values, counts = np.unique(diffs / np.round(diffs / diffs.min()), return_counts=True)
-    return float(values[np.argmax(counts)])
+    """Modal spacing of strictly increasing timestamps, in multiples of the smallest.
+
+    A spacing under a quarter of the (lower) median is a near-duplicate stamp,
+    not a step, so it sets no multiple; a file that loads has none, since all
+    its spacings are one or two steps.  A spacing that is no finite multiple
+    of the smallest gives a candidate of 0 or NaN, which is never the step.
+    """
+    usual = diffs[diffs >= np.quantile(diffs, 0.5, method="lower") / 4]
+    values, counts = np.unique(usual / np.round(usual / usual.min()), return_counts=True)
+    return float(values[np.argmax(counts * (values > 0))])
 
 
 def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestReport]:
@@ -272,7 +279,7 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
         step = rules.expected_step if rules.expected_step is not None else _infer_step(diffs)
         ratio = diffs / step
         k = np.rint(ratio)
-        irregular = ~(np.abs(ratio - k) <= 1e-6 * np.maximum(k, 1))
+        irregular = ~(np.abs(ratio - k) <= 1e-6 * np.maximum(k, 1)) | (k == 0)  # under half a step: no multiple
     fill = (k == 2) & (rules.gap_policy == GAP_FFILL1)
     bad = np.flatnonzero(irregular | ((k != 1) & ~fill))
     if bad.size:
@@ -280,7 +287,8 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
         if irregular[i]:
             what = f"irregular spacing {float(diffs[i])!r} after {where(i)}; expected multiples of {float(step)!r}"
         else:
-            what = f"gap of {int(k[i])} steps after {where(i)}; first missing timestamp {float(times[i] + step)!r}"
+            # .15g prints every count below 10^15 as int() does, and a larger one in 6 or 7 characters
+            what = f"gap of {k[i]:.15g} steps after {where(i)}; first missing timestamp {float(times[i] + step)!r}"
         raise IngestError(f"{path}: {what}")
 
     values = np.repeat(prices, np.append(k, 1).astype(np.intp))  # a filled step repeats its predecessor

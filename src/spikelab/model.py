@@ -11,17 +11,17 @@ moment.  All rates are per unit of normalized time (the horizon maps to 1).
 
 This module holds the jump-size laws (sampling, polynomial and exponential
 moments, the exponential-moment integral of the log-model forward), the
-observation grid, the spike parameters, the three continuous legs (exp-OU,
-flat, two-factor forward dynamics with their initial curve) and the
-asymptotic-regime diagnostics.  It imports no other module of the package.
+observation grid, the spike parameters and the three continuous legs (exp-OU,
+flat, two-factor forward dynamics with their initial curve).  It imports no
+other module of the package.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import exp1
@@ -40,8 +40,6 @@ __all__ = [
     "TwoFactorDynamics",
     "ContinuousSpec",
     "ModelSpec",
-    "AssumptionReport",
-    "check_assumptions",
     "finite",
     "positive",
     "sign",
@@ -385,6 +383,14 @@ class TwoFactorParams:
             positive(name, getattr(self, name))
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
+        # the log-variance doubles alpha, and per unit of time it is at most (sigma_l + sigma_s)^2
+        if math.isinf(2.0 * self.alpha):
+            raise ValueError(f"alpha {self.alpha!r} makes the two-factor log-variance overflow a float")
+        scale = self.sigma_l + self.sigma_s
+        if math.isinf(scale * scale):
+            raise ValueError(
+                f"sigma_l {self.sigma_l!r} and sigma_s {self.sigma_s!r} make the two-factor log-variance overflow a float"
+            )
 
     def log_variance(self, t):
         """Variance v(t) of sigma_l W_t + sigma_s Y_t (Y the short OU factor).
@@ -470,82 +476,3 @@ class ModelSpec:
 
     continuous: ContinuousSpec
     spikes: SpikeParams
-
-
-# ---------------------------------------------------------------------------
-# Assumption diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Magnitudes and regime suggestion for the sampling-asymptotics conditions.
-
-    Diagnostics only: nothing here refuses to proceed.  Regime I is the plain
-    threshold setting (needs lambda^2 * mesh small and beta * mesh well below
-    one); regime II is the sign-filtered setting for fast reversion (needs the
-    per-step relaxation to dominate the Brownian scale sqrt(mesh)).
-    """
-
-    lambda_mesh: float
-    beta_mesh: float
-    intensity_ratio: float  # lambda / beta
-    lambda_sq_mesh: float
-    beta_mesh_over_brownian: float  # beta * mesh^(1/2 - varpi)
-    lambda_sq_mesh_window: Optional[float]  # lambda^2 * mesh * k^2, if k given
-    regime_i_ok: bool
-    regime_ii_ok: bool
-    stability_ok: bool  # lambda <~ beta
-    regime: str  # "I", "II" or "neither"
-    thresholds: dict = field(default_factory=dict)
-
-
-# cutoffs standing in for the asymptotic orders: lambda^2 * mesh "small", lambda / beta not "large"
-_SMALL = 0.1
-_LARGE = 10.0
-
-
-def check_assumptions(
-    params: SpikeParams, grid: GridSpec, varpi: float, window: Optional[int] = None
-) -> AssumptionReport:
-    """Report the asymptotic-regime magnitudes for (intensity, reversion, mesh).
-
-    ``window`` is the optional regime-II spacing k (purely diagnostic, it
-    enters no estimator); the cutoffs are reported in ``thresholds``.
-    """
-    if not (0 < varpi < 0.5):
-        raise ValueError(f"varpi must lie in (0, 1/2), got {varpi}")
-    lam, beta, mesh = params.intensity, params.reversion, grid.mesh
-    lam_mesh = lam * mesh
-    beta_mesh = beta * mesh
-    lam_sq_mesh = lam * lam * mesh
-    ratio = lam / beta
-    # beta * mesh vs the Brownian increment scale sqrt(mesh), at the detection
-    # exponent: beta * mesh^(1 - varpi) / sqrt(mesh).
-    beta_vs_brownian = beta * mesh ** (0.5 - varpi)
-    window_mag = None if window is None else lam_sq_mesh * window**2
-
-    regime_i = (lam_sq_mesh < _SMALL) and (beta_mesh < 1.0)
-    regime_ii = beta_vs_brownian >= 1.0
-    stability = ratio <= _LARGE
-
-    if regime_ii:
-        regime = "II"  # preferred where available: robust to reversion artifacts
-    elif regime_i:
-        regime = "I"
-    else:
-        regime = "neither"
-
-    return AssumptionReport(
-        lambda_mesh=lam_mesh,
-        beta_mesh=beta_mesh,
-        intensity_ratio=ratio,
-        lambda_sq_mesh=lam_sq_mesh,
-        beta_mesh_over_brownian=beta_vs_brownian,
-        lambda_sq_mesh_window=window_mag,
-        regime_i_ok=regime_i,
-        regime_ii_ok=regime_ii,
-        stability_ok=stability,
-        regime=regime,
-        thresholds={"small": _SMALL, "large": _LARGE, "varpi": varpi},
-    )

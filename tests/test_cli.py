@@ -170,6 +170,14 @@ class TestDispatch:
             dispatch(["estimate", "--nonsense"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["detect", "estimate"])
+    def test_min_gap_is_not_a_flag(self, command, capsys):
+        # detection is the two modes alone: there is no post-filter to select
+        with pytest.raises(SystemExit) as info:
+            dispatch([command, "--in", "x.csv", "--min-gap", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --min-gap 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -478,6 +486,36 @@ class TestDispatch:
                 "strike -1e+307 makes the strip payoff sums overflow a float",
                 id="study-strike-overflows-payoff",
             ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.sigma_l = 0.25", "cont.sigma_l = 2e154"),
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "sigma_l 2e+154 and sigma_s 1.03 make the two-factor log-variance overflow a float",
+                id="long-factor-volatility-overflows",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.sigma_s = 1.03", "cont.sigma_s = 2e154"),
+                ["price-strip", "--config", "{cfg}", "--sims", "8", "--strike", "40"],
+                "sigma_l 0.25 and sigma_s 2e+154 make the two-factor log-variance overflow a float",
+                id="short-factor-volatility-overflows",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.sigma_l = 0.25", "cont.sigma_l = 2e154"),
+                ["study-pricing", "--config", "{cfg}", "--sims", "8", "--out", "{tmp}/out"],
+                "sigma_l 2e+154 and sigma_s 1.03 make the two-factor log-variance overflow a float",
+                id="study-factor-volatility-overflows",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.alpha = 12.56", "cont.alpha = 1e308"),
+                ["price-strip", "--config", "{cfg}", "--sims", "8", "--strike", "40"],
+                "alpha 1e+308 makes the two-factor log-variance overflow a float",
+                id="factor-reversion-overflows",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.alpha = 12.56", "cont.alpha = 1e308"),
+                ["study-pricing", "--config", "{cfg}", "--sims", "8", "--out", "{tmp}/out"],
+                "alpha 1e+308 makes the two-factor log-variance overflow a float",
+                id="study-factor-reversion-overflows",
+            ),
         ],
     )
     def test_bad_input_fails_in_one_line(self, tmp_path, capsys, config_text, argv, message):
@@ -582,17 +620,6 @@ class TestDispatch:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == len(payload["indices"])
         assert payload["mode"] == "signfiltered"
-
-    def test_detect_min_gap_thins_flags(self, model_config, tmp_path, capsys):
-        out = tmp_path / "sim.csv"
-        dispatch(["simulate", "--config", model_config, "--seed", "3", "--out", str(out)])
-        capsys.readouterr()
-        dispatch(["detect", "--in", str(out), "--mode", "plain", "--json"])
-        plain = json.loads(capsys.readouterr().out)
-        dispatch(["detect", "--in", str(out), "--mode", "plain", "--min-gap", "5", "--json"])
-        thinned = json.loads(capsys.readouterr().out)
-        assert thinned["count"] <= plain["count"]
-        assert all(b - a >= 5 for a, b in zip(thinned["indices"], thinned["indices"][1:]))
 
     def test_price_forward(self, model_config, capsys):
         status = dispatch(

@@ -1,4 +1,4 @@
-"""Multipower variation, thresholds and the two detection modes."""
+"""Multipower variation, thresholds, the two detection modes and the regime rule."""
 
 import math
 
@@ -12,11 +12,11 @@ from spikelab.detect import (
     SIGN_FILTERED,
     DegeneratePathError,
     DetectionConfig,
-    apply_min_gap,
     compute_threshold,
     detect_jumps,
     gaussian_abs_moment,
     multipower_variation,
+    regime,
 )
 from spikelab.model import GridSpec, SampledPath
 
@@ -165,17 +165,6 @@ class TestDetection:
         assert np.array_equal(a.indices, b.indices)
         assert a.sigma_hat == b.sigma_hat
 
-    def test_min_gap_post_filter(self):
-        path = decay_spike_path(10_000, jump_at=500, size=1.0, beta=20_000.0)
-        sigma = 0.11 / (5.0 * path.grid.mesh ** 0.49)
-        report = detect_jumps(path, DetectionConfig(mode=PLAIN), sigma_hat=sigma)
-        assert list(report.indices) == [500, 501, 502]
-        assert apply_min_gap(report, 0) is report
-        thinned = apply_min_gap(report, 2)
-        assert list(thinned.indices) == [500, 502]
-        assert thinned.count == 2
-        assert np.array_equal(thinned.increments, path.increments()[[499, 501]])
-
     def test_last_increment_never_flagged_in_filtered_mode(self):
         grid = GridSpec(10, 1.0)
         values = np.zeros(11)
@@ -185,6 +174,63 @@ class TestDetection:
         assert 10 not in report.indices
         plain = detect_jumps(path, DetectionConfig(mode=PLAIN), sigma_hat=0.1)
         assert 10 in plain.indices
+
+
+class TestRegime:
+    GRID = GridSpec(10_000, 1.0)
+
+    @pytest.mark.parametrize(
+        "intensity, reversion, grid, exponent, label",
+        [
+            # the estimation table's four pairs (at (10, 200) both regimes hold and II
+            # wins), then a slow pair and a crowded one
+            (10, 20, GRID, 0.01, "I"),
+            (10, 200, GRID, 0.01, "II"),
+            (10, 2000, GRID, 0.01, "II"),
+            (10, 20_000, GRID, 0.01, "II"),
+            (0.5, 1.0, GRID, 0.01, "I"),
+            (1000, 20, GRID, 0.01, "neither"),
+            # exponent 0, which DetectionConfig accepts
+            (10, 200, GRID, 0.0, "II"),
+            (0.5, 1, GRID, 0.0, "I"),
+            # meshes that are powers of two put each boundary exactly on a float:
+            # reversion * mesh^(1/2 - exponent) = 2 * (1/16)^(1/4) = 1, and 2 * (1/4)^(1/2) = 1
+            (0.1, 2.0, GridSpec(16), 0.25, "II"),
+            (0.1, math.nextafter(2.0, 0), GridSpec(16), 0.25, "I"),
+            (0.1, 2.0, GridSpec(4), 0.0, "II"),
+            (0.1, math.nextafter(2.0, 0), GridSpec(4), 0.0, "I"),
+            # intensity^2 * mesh = 1.6 / 16 = 0.1
+            (math.sqrt(1.6), 1.0, GridSpec(16), 0.01, "neither"),
+            (math.nextafter(math.sqrt(1.6), 0), 1.0, GridSpec(16), 0.01, "I"),
+            # reversion * mesh = 0.25 * 4 = 1, with the indicator at 0.25 * 4^0.49 < 1
+            (0.1, 0.25, GridSpec(2, 8.0), 0.01, "neither"),
+            (0.1, math.nextafter(0.25, 0), GridSpec(2, 8.0), 0.01, "I"),
+        ],
+    )
+    def test_label(self, intensity, reversion, grid, exponent, label):
+        assert regime(intensity, reversion, grid, DetectionConfig(exponent=exponent)) == label
+
+    def test_boundary_rows_sit_on_the_boundaries(self):
+        assert 2.0 * GridSpec(16).mesh ** 0.25 == 1.0 and 2.0 * GridSpec(4).mesh ** 0.5 == 1.0
+        assert math.sqrt(1.6) * math.sqrt(1.6) * GridSpec(16).mesh == 0.1
+        assert 0.25 * GridSpec(2, 8.0).mesh == 1.0
+
+    def test_exponent_validated(self):
+        # the exponent comes from the detection config, which checks its range once
+        with pytest.raises(ValueError, match=r"exponent must lie in \[0, 1/2\), got 0.7"):
+            regime(10, 200, self.GRID, DetectionConfig(exponent=0.7))
+
+    @pytest.mark.parametrize(
+        "intensity, reversion, message",
+        [
+            (0.0, 200.0, "intensity must be positive and finite, got 0.0"),
+            (10.0, float("inf"), "reversion must be positive and finite, got inf"),
+            (float("nan"), 200.0, "intensity must be positive and finite, got nan"),
+        ],
+    )
+    def test_rates_must_be_positive_and_finite(self, intensity, reversion, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            regime(intensity, reversion, self.GRID, DetectionConfig())
 
 
 # increments of exactly 0, products that underflow to -0.0, products near

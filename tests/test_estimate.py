@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig, DetectionReport, apply_min_gap, detect_jumps
+from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig, DetectionReport, detect_jumps
 from spikelab.estimate import (
     asymptotic_diagnostics,
     estimate_beta,
@@ -253,23 +253,6 @@ class TestDiagnostics:
 
 
 class TestEstimateSpikes:
-    def test_thinned_report_matches_the_paths_own_increments(self):
-        # plain detection at beta * mesh = 0.2 flags each jump's relaxation step too,
-        # so a minimum gap of 3 keeps a strict subset of the flags
-        from spikelab.model import ExpOU, ModelSpec, SignedExponentialMixture, SpikeParams
-        from spikelab.simulate import make_rng, simulate_spot
-
-        law = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
-        model = ModelSpec(ExpOU(100.0, 2.0, 1.0), SpikeParams(10.0, 2000.0, law))
-        path = simulate_spot(model, GridSpec(10_000, 1.0), make_rng(3)).observed
-        full = detect_jumps(path, DetectionConfig(mode=PLAIN))
-        thinned = apply_min_gap(full, 3)
-        assert 0 < thinned.count < full.count
-        rebuilt = report_for(path, thinned.indices, PLAIN, thinned.sigma_hat, thinned.threshold_abs)
-        est = estimate_spikes(path, thinned)
-        assert est == estimate_spikes(path, rebuilt)
-        assert est.diagnostics is not None and est.moment_estimates[2] is not None
-
     def test_full_pass_on_noiseless_spike(self):
         beta = 200.0
         path = decay_spike_path(10_000, jump_at=500, size=1.0, beta=beta)

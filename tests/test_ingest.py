@@ -256,6 +256,27 @@ class TestMessages:
             with pytest.raises(IngestError, match=message):
                 load(tmp_path, text, **rules)
 
+    @pytest.mark.parametrize(
+        "text, rules",
+        [
+            # one near-duplicate stamp does not set the inferred step: the modal spacing does
+            ("t,price\n0,1.0\n1e-320,2.0\n1,3.0\n2,4.0\n", {}),
+            ("t,price\n0,1.0\n1e-300,2.0\n1,3.0\n2,4.0\n3,5.0\n", {}),
+            # a spacing under half a given step is no multiple of it, not a gap of 0 steps
+            ("t,price\n0,1.0\n1e-320,2.0\n1,3.0\n2,4.0\n", {"expected_step": 1.0}),
+        ],
+        ids=["subnormal-spacing", "tiny-spacing", "given-step"],
+    )
+    def test_near_duplicate_stamp_names_row_and_step(self, tmp_path, text, rules):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestError, match=r"irregular spacing 1e-3[02]0 after row 1 \(t=0.0\); expected multiples of 1.0$"):
+                load(tmp_path, text, **rules)
+
+    def test_gap_of_many_steps_prints_a_short_count(self, tmp_path):
+        with pytest.raises(IngestError, match=r"gap of 1e\+300 steps after row 1 \(t=0.0\); first missing timestamp 1e-300$"):
+            load(tmp_path, "t,price\n0,1.0\n1,2.0\n2,3.0\n3,4.0\n", expected_step=1e-300)
+
     def test_cli_non_finite_price_exits_one_with_one_line(self, tmp_path, capsys):
         path = write(tmp_path, "t,price\n" + "\n".join(HOURLY[:2]) + "\n2016-01-01T02:00:00,nan\n")
         assert dispatch(["estimate", "--in", path, "--json"]) == 1
@@ -317,6 +338,19 @@ class TestRoundTrip:
 def ingest():
     # the module behind cli's names: its whole-column reader and the per-row reference
     return pytest.importorskip("spikelab.ingest")
+
+
+class TestInferredStep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        step=st.floats(1e-6, 1e6),
+        spacings=st.lists(st.tuples(st.sampled_from([1, 1, 2]), st.floats(-9e-7, 9e-7)), min_size=2, max_size=40),
+    )
+    def test_spacings_of_one_or_two_steps_keep_the_modal_step(self, ingest, step, spacings):
+        # the spacings of a file that loads: the step is the modal spacing in multiples of the smallest
+        diffs = np.array([step * k * (1.0 + jitter) for k, jitter in spacings])
+        values, counts = np.unique(diffs / np.round(diffs / diffs.min()), return_counts=True)
+        assert ingest._infer_step(diffs) == values[np.argmax(counts)]
 
 
 def number(valid, wider, width):

@@ -1,4 +1,4 @@
-"""Jump-size laws, grids and assumption diagnostics."""
+"""Jump-size laws, grids and the continuous legs."""
 
 import math
 from unittest import mock
@@ -17,9 +17,7 @@ from spikelab.model import (
     JumpLaw,
     SampledPath,
     SignedExponentialMixture,
-    SpikeParams,
     TwoFactorParams,
-    check_assumptions,
     sign,
 )
 from spikelab.simulate import make_rng
@@ -351,32 +349,3 @@ class TestSampledPath:
         assert incr.tolist() == [1.0, 2.0, -1.0, 0.5]
         with pytest.raises(ValueError, match="read-only"):
             incr[0] = 0.0
-
-
-class TestAssumptions:
-    GRID = GridSpec(10_000, 1.0)
-
-    def test_moderate_reversion_allows_both(self):
-        report = check_assumptions(SpikeParams(10, 200, MIX), self.GRID, varpi=0.01)
-        assert report.beta_mesh == pytest.approx(0.02)
-        assert report.lambda_sq_mesh == pytest.approx(0.01)
-        assert report.regime_i_ok and report.regime_ii_ok
-
-    def test_fast_reversion_is_regime_two_only(self):
-        report = check_assumptions(SpikeParams(10, 20_000, MIX), self.GRID, varpi=0.01)
-        assert report.beta_mesh == pytest.approx(2.0)
-        assert not report.regime_i_ok
-        assert report.regime == "II"
-
-    def test_tiny_parameters_are_regime_one(self):
-        report = check_assumptions(SpikeParams(0.5, 1.0, MIX), self.GRID, varpi=0.01)
-        assert report.regime == "I"
-        assert report.regime_i_ok and not report.regime_ii_ok
-
-    def test_window_magnitude_reported(self):
-        report = check_assumptions(SpikeParams(10, 200, MIX), self.GRID, varpi=0.01, window=5)
-        assert report.lambda_sq_mesh_window == pytest.approx(0.01 * 25)
-
-    def test_varpi_validated(self):
-        with pytest.raises(ValueError):
-            check_assumptions(SpikeParams(10, 200, MIX), self.GRID, varpi=0.7)

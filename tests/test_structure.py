@@ -16,7 +16,9 @@ import itself.  The layers that ``benchmarks/spans.py`` wraps for a traced
 benchmark run (``--trace 1``) must exist where it looks them up, so a cleanup
 that moves or renames one fails here and not only under ``python -m pytest
 benchmarks``.  In ``cli`` only ``_json`` writes JSON and only ``dispatch``
-prints, so no subcommand prints a record past the strict writer.
+prints, so no subcommand prints a record past the strict writer.  Every
+name in a module's ``__all__`` is defined in it, so a deleted name cannot
+stay exported.
 """
 
 import ast
@@ -24,6 +26,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -116,6 +119,25 @@ def test_no_function_level_imports(name):
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert lazy == []
+
+
+def unresolved_exports(module) -> list:
+    """Names in a module's ``__all__`` that the module does not define."""
+    return [name for name in getattr(module, "__all__", ()) if name not in vars(module)]
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_every_exported_name_resolves(name):
+    # a name deleted from a module but left in its __all__ breaks `from spikelab.<module> import *`
+    module = importlib.import_module("spikelab" if name == "__init__" else f"spikelab.{name}")
+    assert unresolved_exports(module) == []
+
+
+def test_unresolved_exports_are_seen():
+    module = types.ModuleType("stub")
+    module.__all__ = ["kept", "gone"]
+    module.kept = None
+    assert unresolved_exports(module) == ["gone"]
 
 
 def test_traced_layers_exist():
