@@ -52,7 +52,6 @@ from .estimate import (
 )
 from .pricing import (
     PriceWithCI,
-    StripOptionSpec,
     forward_spike_arith,
     forward_spike_delivery,
     forward_spike_log,

@@ -43,13 +43,7 @@ from .experiments import (
 from .ingest import DEDUP_KEEP_FIRST, DEDUP_REJECT, GAP_FFILL1, GAP_REJECT
 from .ingest import IngestError, IngestReport, IngestRules, load_spot_csv
 from .model import GridSpec, TwoFactorDynamics, finite, positive
-from .pricing import (
-    StripOptionSpec,
-    forward_spike_arith,
-    forward_spike_delivery,
-    forward_spike_log,
-    price_strip_mc,
-)
+from .pricing import forward_spike_arith, forward_spike_delivery, forward_spike_log, price_strip_mc
 from .simulate import make_rng, simulate_spot
 
 __all__ = ["IngestRules", "IngestReport", "IngestError", "load_spot_csv", "dispatch", "main"]
@@ -201,14 +195,9 @@ def _cmd_price_strip(args):
     continuous = _two_factor(cfg, "price-strip")
     grid = cfgmod.build_grid(cfg)
     spikes = None if args.no_spikes else cfgmod.build_spike_params(cfg)
-    spec = StripOptionSpec(
-        exercise_times=_exercise_times(args.exercises, grid),
-        strike=args.strike,
-        num_sims=args.sims,
-        seed=args.seed,
-    )
+    times, rng = _exercise_times(args.exercises, grid), make_rng(args.seed)
     price = price_strip_mc(
-        continuous.params, continuous.curve, spikes, grid, spec, antithetic=args.antithetic
+        continuous.params, continuous.curve, spikes, grid, times, args.strike, args.sims, rng, args.antithetic
     )
     record = {"estimate": price.estimate, "ci95": list(price.ci95), "stderr": price.stderr, "sims": price.num_sims}
     return record, None  # JSON with or without --json
@@ -232,7 +221,7 @@ def _cmd_study_estimation(args):
     cfg = cfgmod.load_config(args.config)
     modes = tuple(args.modes.split(",")) if args.modes is not None else StudyConfig.modes
     study = StudyConfig(
-        pairs=tuple(cfgmod.build_study_pairs(cfg)),
+        pairs=cfg["study.pairs"],
         replications=args.reps,
         grid=cfgmod.build_grid(cfg),
         detection=DetectionConfig(constant=args.C, exponent=args.varpi, mpv_order=args.mpv_order),
@@ -360,8 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json(record, indent: Optional[int] = None) -> str:
-    """The CLI's one JSON writer: strict JSON, so a NaN or infinity raises instead of printing."""
-    return json.dumps(record, allow_nan=False, indent=indent)
+    """The CLI's one JSON writer: strict JSON, so a NaN or infinity raises, naming its key, instead of printing."""
+    try:
+        return json.dumps(record, allow_nan=False, indent=indent)
+    except ValueError:  # the key is the chunk before the last ': ' ahead of the first non-finite number
+        chunks = list(json.JSONEncoder(indent=indent).iterencode(record))
+        at = next(k for k, chunk in enumerate(chunks) if chunk.endswith(("NaN", "Infinity")))
+        key = next(chunks[k - 1] for k in range(at, 0, -1) if chunks[k] == ": ")
+        raise ValueError(f"JSON value {key} must be finite, got {chunks[at].split()[-1].lstrip('[,')}") from None
 
 
 def dispatch(argv: Optional[List[str]] = None) -> int:

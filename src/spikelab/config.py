@@ -1,7 +1,10 @@
 """Flat key-value configuration files for models, grids and studies.
 
 Format: one ``key = value`` pair per line, ``#`` comments, lists separated by
-commas.  Documented keys:
+commas.  ``load_config`` parses each value by its key's parser in ``_KEYS``
+as it reads the line, so a bad value fails as ``path:line: message`` whether
+the command reads the key or not; reading a key that is not set fails naming
+it.  Keys:
 
     lambda, beta                     spike intensity and reversion speed
     jump.kind                        mixture (default) | pointmass | empirical
@@ -10,7 +13,7 @@ commas.  Documented keys:
     jump.size                        point-mass jump size (a one-atom empirical law)
     jump.samples                     inline empirical sizes (comma separated)
     jump.samples_file                file of empirical sizes, one per line
-    cont.kind                        expou | flat | twofactor
+    cont.kind                        expou (default) | flat | twofactor
     cont.kappa, cont.vol,            exp-OU log reversion, volatility, initial
     cont.initial
     cont.level                       flat level
@@ -24,7 +27,7 @@ commas.  Documented keys:
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -40,41 +43,84 @@ __all__ = [
     "build_spike_params",
     "build_continuous",
     "build_model",
-    "build_study_pairs",
 ]
-
-_KNOWN_KEYS = {
-    "lambda",
-    "beta",
-    "jump.kind",
-    "jump.weights",
-    "jump.rates",
-    "jump.signs",
-    "jump.size",
-    "jump.samples",
-    "jump.samples_file",
-    "cont.kind",
-    "cont.kappa",
-    "cont.vol",
-    "cont.initial",
-    "cont.level",
-    "cont.alpha",
-    "cont.sigma_s",
-    "cont.sigma_l",
-    "cont.rho",
-    "cont.curve_level",
-    "grid.n",
-    "grid.horizon",
-    "study.pairs",
-}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str) -> Dict[str, str]:
-    values: Dict[str, str] = {}
+class _Config(dict):
+    """A config's parsed values; reading a key that is not set raises the ConfigError naming it."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing required config key {key!r}")
+
+
+def _number(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"bad number for {key!r}: {text!r}") from None
+
+
+def _integer(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"bad integer for {key!r}: {text!r}") from None
+
+
+def _numbers(key: str, text: str) -> Tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(f"bad numeric list {text!r}") from None
+
+
+def _pairs(key: str, text: str) -> Tuple[Tuple[float, float], ...]:
+    """'10:200, 10:2000' -> ((10.0, 200.0), (10.0, 2000.0))."""
+    pairs = []
+    for chunk in filter(None, (part.strip() for part in text.split(","))):
+        lam, colon, beta = chunk.partition(":")
+        if not colon:
+            raise ConfigError(f"bad study pair {chunk!r}; expected 'lambda:beta'")
+        try:
+            pairs.append((float(lam), float(beta)))
+        except ValueError:
+            raise ConfigError(f"bad study pair {chunk!r}") from None
+    if not pairs:
+        raise ConfigError(f"{key} is empty")
+    return tuple(pairs)
+
+
+# the values each kind key takes
+_KINDS = {"jump.kind": ("mixture", "pointmass", "empirical"), "cont.kind": ("expou", "flat", "twofactor")}
+
+
+def _kind(key: str, text: str) -> str:
+    kind = text.lower()
+    if kind not in _KINDS[key]:
+        raise ConfigError(f"unknown {key} {kind!r}")
+    return kind
+
+
+# every key and the parser of its value
+_KEYS = {
+    **dict.fromkeys(("lambda", "beta", "jump.size", "grid.horizon"), _number),
+    **dict.fromkeys(("cont.kappa", "cont.vol", "cont.initial", "cont.level", "cont.alpha"), _number),
+    **dict.fromkeys(("cont.sigma_s", "cont.sigma_l", "cont.rho", "cont.curve_level"), _number),
+    **dict.fromkeys(("jump.weights", "jump.rates", "jump.signs", "jump.samples"), _numbers),
+    **dict.fromkeys(_KINDS, _kind),
+    "jump.samples_file": lambda key, text: text,
+    "grid.n": _integer,
+    "study.pairs": _pairs,
+}
+
+
+def load_config(path: str) -> _Config:
+    """The parsed values of a config file, each by its key's parser (see the module docstring)."""
+    values = _Config()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -82,10 +128,13 @@ def load_config(path: str) -> Dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
+            key, text = (part.strip() for part in line.split("=", 1))
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
+            try:
+                values[key] = _KEYS[key](key, text)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -105,108 +154,39 @@ def load_floats(path: str) -> np.ndarray:
     return values
 
 
-def _require(cfg: Dict[str, str], key: str) -> str:
-    if key not in cfg:
-        raise ConfigError(f"missing required config key {key!r}")
-    return cfg[key]
+def build_grid(cfg: _Config) -> GridSpec:
+    return GridSpec(n=cfg["grid.n"], horizon=cfg.get("grid.horizon", 1.0))
 
 
-def _floats(text: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
-
-
-def _float(cfg: Dict[str, str], key: str, default=None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad number for {key!r}: {cfg[key]!r}") from exc
-
-
-def build_grid(cfg: Dict[str, str]) -> GridSpec:
-    try:
-        n = int(_require(cfg, "grid.n"))
-    except ValueError as exc:
-        raise ConfigError(f"bad integer for 'grid.n': {cfg['grid.n']!r}") from exc
-    return GridSpec(n=n, horizon=_float(cfg, "grid.horizon", 1.0))
-
-
-def build_jump_law(cfg: Dict[str, str]) -> JumpLaw:
-    kind = cfg.get("jump.kind", "mixture").lower()
+def build_jump_law(cfg: _Config) -> JumpLaw:
+    kind = cfg.get("jump.kind", "mixture")
     if kind == "mixture":
-        weights = _floats(_require(cfg, "jump.weights"))
-        rates = _floats(_require(cfg, "jump.rates"))
-        signs = _floats(_require(cfg, "jump.signs"))
-        return SignedExponentialMixture(tuple(weights), tuple(rates), tuple(signs))
+        return SignedExponentialMixture(cfg["jump.weights"], cfg["jump.rates"], cfg["jump.signs"])
     if kind == "pointmass":
-        return Empirical([_float(cfg, "jump.size")])
-    if kind == "empirical":
-        if "jump.samples_file" in cfg:
-            samples = load_floats(cfg["jump.samples_file"])
-        elif "jump.samples" in cfg:
-            samples = np.asarray(_floats(cfg["jump.samples"]))
-        else:
-            raise ConfigError("empirical law needs jump.samples or jump.samples_file")
-        return Empirical(samples)
-    raise ConfigError(f"unknown jump.kind {kind!r}")
+        return Empirical([cfg["jump.size"]])
+    if "jump.samples_file" in cfg:
+        return Empirical(load_floats(cfg["jump.samples_file"]))
+    if "jump.samples" in cfg:
+        return Empirical(cfg["jump.samples"])
+    raise ConfigError("empirical law needs jump.samples or jump.samples_file")
 
 
-def build_spike_params(cfg: Dict[str, str]) -> SpikeParams:
-    return SpikeParams(
-        intensity=_float(cfg, "lambda"),
-        reversion=_float(cfg, "beta"),
-        law=build_jump_law(cfg),
-    )
+def build_spike_params(cfg: _Config) -> SpikeParams:
+    return SpikeParams(intensity=cfg["lambda"], reversion=cfg["beta"], law=build_jump_law(cfg))
 
 
-def build_continuous(cfg: Dict[str, str]):
-    kind = cfg.get("cont.kind", "expou").lower()
+def build_continuous(cfg: _Config):
+    kind = cfg.get("cont.kind", "expou")
     if kind == "expou":
-        return ExpOU(
-            reversion=_float(cfg, "cont.kappa"),
-            vol=_float(cfg, "cont.vol"),
-            initial=_float(cfg, "cont.initial", 1.0),
-        )
+        return ExpOU(reversion=cfg["cont.kappa"], vol=cfg["cont.vol"], initial=cfg.get("cont.initial", 1.0))
     if kind == "flat":
-        return Flat(level=_float(cfg, "cont.level", 0.0))
-    if kind == "twofactor":
-        params = TwoFactorParams(
-            alpha=_float(cfg, "cont.alpha"),
-            sigma_s=_float(cfg, "cont.sigma_s"),
-            sigma_l=_float(cfg, "cont.sigma_l"),
-            rho=_float(cfg, "cont.rho"),
-        )
-        grid = build_grid(cfg)
-        curve = ForwardCurve.flat(_float(cfg, "cont.curve_level", 1.0), grid.horizon)
-        return TwoFactorDynamics(params, curve)
-    raise ConfigError(f"unknown cont.kind {kind!r}")
+        return Flat(level=cfg.get("cont.level", 0.0))
+    params = TwoFactorParams(
+        alpha=cfg["cont.alpha"], sigma_s=cfg["cont.sigma_s"], sigma_l=cfg["cont.sigma_l"], rho=cfg["cont.rho"]
+    )
+    grid = build_grid(cfg)
+    return TwoFactorDynamics(params, ForwardCurve.flat(cfg.get("cont.curve_level", 1.0), grid.horizon))
 
 
-def build_model(cfg: Dict[str, str]) -> ModelSpec:
+def build_model(cfg: _Config) -> ModelSpec:
     return ModelSpec(continuous=build_continuous(cfg), spikes=build_spike_params(cfg))
-
-
-def build_study_pairs(cfg: Dict[str, str]) -> List[Tuple[float, float]]:
-    """Parse study.pairs, e.g. '10:200, 10:2000' -> [(10, 200), (10, 2000)]."""
-    text = _require(cfg, "study.pairs")
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise ConfigError(f"bad study pair {chunk!r}; expected 'lambda:beta'")
-        lam, beta = chunk.split(":", 1)
-        try:
-            pairs.append((float(lam), float(beta)))
-        except ValueError as exc:
-            raise ConfigError(f"bad study pair {chunk!r}") from exc
-    if not pairs:
-        raise ConfigError("study.pairs is empty")
-    return pairs

@@ -118,10 +118,13 @@ def multipower_variation(path: SampledPath, order: int = 20) -> float:
     # products of every window of `order` consecutive powers, multiplied up
     # left to right: a few passes over n values, no (n, order) window array
     width = n - order + 1
-    prods = powers[:width] * powers[1 : width + 1]
-    for j in range(2, order):
-        prods *= powers[j : j + width]
-    mpv = prods.sum() / gaussian_abs_moment(r) ** order
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is named below
+        prods = powers[:width] * powers[1 : width + 1]
+        for j in range(2, order):
+            prods *= powers[j : j + width]
+        mpv = prods.sum() / gaussian_abs_moment(r) ** order
+    if not np.isfinite(mpv):
+        raise ValueError(f"increments up to {incr.max():.6g} make the multipower variation overflow a float")
     if not mpv > 0:
         raise DegeneratePathError("multipower variation vanished (too many zero increments)")
     return float(np.sqrt(mpv))
@@ -155,7 +158,8 @@ def detect_jumps(
     if config.mode == SIGN_FILTERED:
         # the sign test runs at the exceedances only, the last increment excluded
         exceed = np.flatnonzero(flags[:-1])
-        indices = exceed[incr[exceed] * incr[exceed + 1] < 0] + 1
+        with np.errstate(over="ignore"):  # an overflow keeps the sign, which is all that is read
+            indices = exceed[incr[exceed] * incr[exceed + 1] < 0] + 1
     else:
         indices = np.flatnonzero(flags) + 1
     return DetectionReport(

@@ -43,7 +43,11 @@ __all__ = [
     "finite",
     "positive",
     "sign",
+    "LOG_MAX",
 ]
+
+# largest exponent whose exp is a finite float
+LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def finite(name: str, value: float) -> float:
@@ -402,7 +406,9 @@ class TwoFactorParams:
     def forward_log_variance(self, t, maturity):
         """Variance of log f(t, maturity) around log f(0, maturity)."""
         t = np.asarray(t, dtype=float)
-        a = self.alpha
+        a, span = self.alpha, float(np.max(maturity, initial=0.0))
+        if math.isinf(2.0 * a * span) or math.isinf((self.sigma_l + self.sigma_s) ** 2 * span):
+            raise ValueError(f"horizon {span!r} makes the two-factor log-variance overflow a float")
         decay = np.exp(-a * (maturity - t))
         return (
             self.sigma_l**2 * t

@@ -42,8 +42,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ForwardCurve, GridSpec, SpikeParams, TwoFactorParams, finite, positive
-from .simulate import make_rng, spot_chunks
+from .model import LOG_MAX, ForwardCurve, GridSpec, SpikeParams, TwoFactorParams, finite, positive
+from .simulate import spot_chunks
 
 # defined in model; benchmarks/workloads.py still imports it from here
 from .model import TwoFactorDynamics  # noqa: F401
@@ -53,7 +53,6 @@ from .model import TwoFactorDynamics  # noqa: F401
 from .simulate import simulate_spikes  # noqa: F401
 
 __all__ = [
-    "StripOptionSpec",
     "PriceWithCI",
     "forward_spike_arith",
     "forward_spike_delivery",
@@ -64,38 +63,6 @@ __all__ = [
     "ci95",
     "price_strip_mc",
 ]
-
-# largest exponent whose exp is a finite float
-_LOG_MAX = math.log(sys.float_info.max)
-
-
-def _check_strip(exercise_times, num_sims: int) -> np.ndarray:
-    times = np.asarray(exercise_times, dtype=float)
-    finite = np.isfinite(times)
-    if not finite.all():
-        raise ValueError(f"exercise times must be finite, got {times[~finite][0]}")
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("exercise times must be a nonempty increasing sequence")
-    if times[0] <= 0:
-        raise ValueError("exercise times must be positive")
-    if num_sims < 2:
-        raise ValueError("need at least 2 simulations")
-    return times
-
-
-@dataclass(frozen=True)
-class StripOptionSpec:
-    """Strip of calls: payoff sum over exercise times of (S_t - K)^+."""
-
-    exercise_times: np.ndarray
-    strike: float
-    num_sims: int
-    seed: int = 0
-
-    def __post_init__(self):
-        times = _check_strip(self.exercise_times, self.num_sims)
-        object.__setattr__(self, "exercise_times", times)
-
 
 @dataclass(frozen=True)
 class PriceWithCI:
@@ -151,7 +118,7 @@ def forward_spike_log(z_now: float, params: SpikeParams, t: float, maturity: flo
     law = params.law
     eps = _decay(z_now, params, t, maturity)
     exponent = eps * z_now + params.intensity / params.reversion * law.exp_moment_integral(eps)
-    if not exponent <= _LOG_MAX:
+    if not exponent <= LOG_MAX:
         raise ValueError(
             f"log-model spike factor exp({exponent:.6g}) is not representable "
             f"(jump law {type(law).__name__})"
@@ -228,7 +195,17 @@ def strip_payoffs(
     k equals what strike k gives alone; each payoff is summed in
     exercise-time order, whatever the chunk length.
     """
-    cols = _exercise_columns(grid, _check_strip(exercise_times, num_sims))
+    times = np.asarray(exercise_times, dtype=float)
+    bad = ~np.isfinite(times)
+    if bad.any():
+        raise ValueError(f"exercise times must be finite, got {times[bad][0]}")
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("exercise times must be a nonempty increasing sequence")
+    if times[0] <= 0:
+        raise ValueError("exercise times must be positive")
+    if num_sims < 2:
+        raise ValueError("need at least 2 simulations")
+    cols = _exercise_columns(grid, times)
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0 or not np.all(np.isfinite(strikes)):
         raise ValueError("strikes must be a nonempty sequence of finite numbers")
@@ -273,17 +250,21 @@ def _add_payoffs(pay: np.ndarray, block: np.ndarray, start: int, cols: np.ndarra
     lo, hi = np.searchsorted(cols, (start, start + block.shape[1]))
     spot = block.T[cols[lo:hi] - start]  # one row per exercise date
     top = spot.max(axis=1)
-    for acc, strike in zip(pay, strikes):
-        excess = spot[top > strike] - strike
-        np.maximum(excess, 0.0, out=excess)
-        for terms in excess:
-            acc += terms
+    with np.errstate(over="ignore"):  # a sum past the float range is named by price_from_payoffs
+        for acc, strike in zip(pay, strikes):
+            excess = spot[top > strike] - strike
+            np.maximum(excess, 0.0, out=excess)
+            for terms in excess:
+                acc += terms
 
 
 def price_from_payoffs(units: np.ndarray, num_sims: int) -> PriceWithCI:
     """Monte Carlo estimate and 95% CI from one strike's i.i.d. payoff units."""
-    estimate = float(units.mean())
-    stderr = float(units.std(ddof=1) / math.sqrt(units.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is named below
+        estimate = float(units.mean())
+        stderr = float(units.std(ddof=1) / math.sqrt(units.size))
+    if not (math.isfinite(estimate) and math.isfinite(stderr)):
+        raise ValueError(f"payoffs up to {np.abs(units).max():.6g} make the price or its variance overflow a float")
     return PriceWithCI(estimate=estimate, ci95=ci95(estimate, stderr), num_sims=num_sims, stderr=stderr)
 
 
@@ -298,26 +279,18 @@ def price_strip_mc(
     curve: ForwardCurve,
     spikes: Optional[SpikeParams],
     grid: GridSpec,
-    spec: StripOptionSpec,
-    rng: Optional[np.random.Generator] = None,
+    exercise_times,
+    strike: float,
+    num_sims: int,
+    rng: np.random.Generator,
     antithetic: bool = False,
 ) -> PriceWithCI:
-    """Monte Carlo price of the strip of calls under the Merton measure.
+    """Monte Carlo price of the strip of calls sum_t (S_t - strike)^+ over ``exercise_times``.
 
-    The risk-free rate is zero; see ``strip_payoffs`` for the simulated spot
-    and the antithetic pairing (with ``antithetic`` the CI is computed over
-    pair averages).  Without ``rng`` the paths come from ``spec.seed``.
+    The risk-free rate is zero and the measure is Merton's.  The paths are
+    ``num_sims`` draws from ``rng``; ``strip_payoffs`` checks the inputs and
+    gives the simulated spot and the antithetic pairing (with ``antithetic``
+    the CI is computed over pair averages).
     """
-    master = make_rng(spec.seed) if rng is None else rng
-    (units,) = strip_payoffs(
-        two_factor,
-        curve,
-        (spikes,),
-        grid,
-        spec.exercise_times,
-        (spec.strike,),
-        spec.num_sims,
-        master,
-        antithetic,
-    )
-    return price_from_payoffs(units[:, 0], spec.num_sims)
+    (units,) = strip_payoffs(two_factor, curve, (spikes,), grid, exercise_times, (strike,), num_sims, rng, antithetic)
+    return price_from_payoffs(units[:, 0], num_sims)

@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ContinuousSpec, ExpOU, Flat, ForwardCurve, GridSpec, ModelSpec, SampledPath
+from .model import LOG_MAX, ContinuousSpec, ExpOU, Flat, ForwardCurve, GridSpec, ModelSpec, SampledPath
 from .model import SpikeParams, TwoFactorDynamics, TwoFactorParams
 
 __all__ = [
@@ -132,6 +132,8 @@ def _draw_jumps(
     (see ``interval_index``).
     """
     horizon = grid.horizon
+    if not params.intensity * horizon <= 1e18:  # numpy's Poisson sampler stops near 9.2e18
+        raise ValueError(f"intensity {params.intensity!r} times horizon {horizon!r} asks for over 1e18 jumps a path")
     count = int(rng.poisson(params.intensity * horizon))
     times = np.sort(rng.uniform(0.0, horizon, count))
     return times, params.law.sample(rng, count)
@@ -275,6 +277,8 @@ def _log_ar1(spec: ExpOU, grid: GridSpec, rngs: Sequence[np.random.Generator], r
     else:
         a = np.exp(-kappa * mesh)
         step_var = vol * vol * (-np.expm1(-2.0 * kappa * mesh)) / (2.0 * kappa)
+    if np.isinf(step_var):
+        raise ValueError(f"vol {vol!r} makes the exp-OU log-variance overflow a float")
     y0 = np.log(spec.initial)
     rows[:, 0] = y0
     for row, rng in zip(rows, rngs):
@@ -348,6 +352,8 @@ def _spot_blocks(
         for start, block in zip(range(0, grid.n + 1, width), blocks):
             cols = slice(start, start + len(block))
             z = block[:, -paths:]
+            if logs is not None and block[:, :paths].max() > LOG_MAX:
+                raise ValueError(f"the exp-OU path with vol {model.continuous.vol!r} overflows a float")
             xc = rows[:, cols].T if logs is None else np.exp(block[:, :paths])
             if split:
                 spikes[:, cols] = z.T
@@ -489,7 +495,11 @@ def spot_chunks(
         spot = drift[start:stop, None] + params.sigma_l * wl
         spot += params.sigma_s * ys
         np.exp(spot, out=spot)
-        spot *= level[start:stop, None]
+        try:
+            with np.errstate(over="raise"):
+                spot *= level[start:stop, None]
+        except FloatingPointError:
+            raise ValueError(f"curve level {float(level.max())!r} makes the two-factor spot overflow a float") from None
         yield start, spot.T, None if spike is None else spike.T
         start = stop
 

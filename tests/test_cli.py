@@ -10,10 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from spikelab import cli
+from spikelab import cli, config
 from spikelab.cli import (
     GAP_FFILL1,
     DEDUP_KEEP_FIRST,
@@ -516,6 +516,67 @@ class TestDispatch:
                 "alpha 1e+308 makes the two-factor log-variance overflow a float",
                 id="study-factor-reversion-overflows",
             ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("0.0333333333333333, 0.0166666666666667", "1e-300, 1e-300"),
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "8"],
+                "make the price or its variance overflow a float",
+                id="huge-jumps-overflow-payoff-variance",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.curve_level = 40", "cont.curve_level = 1e300"),
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "8"],
+                "make the price or its variance overflow a float",
+                id="huge-curve-overflows-payoff-variance",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("grid.horizon = 1", "grid.horizon = 1e308"),
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "8"],
+                "horizon 1e+308 makes the two-factor log-variance overflow a float",
+                id="horizon-overflows-log-variance",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("cont.vol = 2", "cont.vol = 1e20"),
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "the exp-OU path with vol 1e+20 overflows a float",
+                id="exp-ou-path-overflows",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("grid.horizon = 1", "grid.horizon = 1e308"),
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "intensity 10.0 times horizon 1e+308 asks for over 1e18 jumps a path",
+                id="jump-count-too-large",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("cont.vol = 2", "cont.vol = 1e308"),
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "vol 1e+308 makes the exp-OU log-variance overflow a float",
+                id="exp-ou-log-variance-overflows",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.curve_level = 40", "cont.curve_level = 1e308"),
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "8"],
+                "curve level 1e+308 makes the two-factor spot overflow a float",
+                id="curve-level-overflows-spot",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("cont.curve_level = 40", "cont.curve_level = 1e307"),
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "8"],
+                "payoffs up to inf make the price or its variance overflow a float",
+                id="curve-level-overflows-payoff-sums",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("cont.initial = 1", "cont.initial = 1e308") + "study.pairs = 10:200\n",
+                ["study-estimation", "--config", "{cfg}", "--reps", "2", "--out", "{tmp}/out"],
+                "make the multipower variation overflow a float",
+                id="multipower-variation-overflows",
+            ),
+            pytest.param(
+                # every value is parsed at load, so a bad one fails in a key the command does not read
+                TWO_FACTOR_CFG + "cont.kappa = abc\n",
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "8"],
+                "model.cfg:15: bad number for 'cont.kappa': 'abc'",
+                id="bad-value-in-unread-key",
+            ),
         ],
     )
     def test_bad_input_fails_in_one_line(self, tmp_path, capsys, config_text, argv, message):
@@ -562,6 +623,13 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert status == 1 and captured.out == ""
         assert captured.err == "spikelab: antithetic pricing needs at least 4 simulations (2 pairs), got 2\n"
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_json_refusal_names_the_first_non_finite_key(self, indent):
+        # the last resort behind every named check: the line names the key, in nested lists too
+        record = [{"sims": 8, "ci95": [0.5, float("-inf")], "stderr": float("nan")}]
+        with pytest.raises(ValueError, match=r'^JSON value "ci95" must be finite, got -Infinity$'):
+            cli._json(record, indent)
 
     def test_missing_file_exits_one(self, capsys):
         status = dispatch(["estimate", "--in", "does-not-exist.csv"])
@@ -875,14 +943,35 @@ class TestTextOutput:
         assert len(json.loads(json_path.read_text())) == 2
 
 
-# The CLI contract, generated from the parser.  argv for a subcommand takes
-# every flag of its parser: each numeric flag one of the boundary values
-# below, so a new flag is covered without editing this test; each text flag a
-# value from CONTRACT_TEXT, which a new text flag must join.
+# The CLI contract, generated from the parser and the config key table.
+# argv for a subcommand takes every flag of its parser: each numeric flag one
+# of the boundary values below, so a new flag is covered without editing this
+# test; each text flag a value from the contract_inputs tables, which a new
+# text flag must join.  The config it reads has up to two keys of the table
+# set, each to a value from its parser's table, so a new key is covered too.
 CONTRACT_FLOATS = ["0", "-1", "-0.0", "0.5", "3", "1e-310", "1e308", "-1e308", "inf", "-inf", "nan"]
 CONTRACT_INTS = [0, -1, 1, 3, 2**31]
-# the draws stay small: few processes, paths and replications (the configs have n <= 2,000)
-CONTRACT_INT_CAPS = {"workers": 2, "sims": 256, "reps": 8}
+# the draws stay small: few processes, paths, replications and grid steps
+CONTRACT_INT_CAPS = {"workers": 2, "sims": 256, "reps": 8, "grid.n": 2_000}
+
+
+def contract_ints(name):
+    cap = CONTRACT_INT_CAPS.get(name)
+    return CONTRACT_INTS if cap is None else [v for v in CONTRACT_INTS if v < cap] + [cap]
+
+
+def contract_config_values(key, text_values):
+    """The values drawn for a config key, by the parser the key table gives it."""
+    parser = config._KEYS[key]
+    if parser in (config._number, config._numbers):
+        return CONTRACT_FLOATS
+    if parser is config._integer:
+        return contract_ints(key)
+    if parser is config._pairs:
+        return [f"{lam}:{beta}" for lam in CONTRACT_FLOATS for beta in CONTRACT_FLOATS]
+    if parser is config._kind:
+        return [*config._KINDS[key], "bogus"]
+    return text_values[key]
 
 
 @pytest.fixture(scope="module")
@@ -898,6 +987,7 @@ def contract_inputs(tmp_path_factory):
     assert dispatch(["simulate", "--config", str(expou), "--seed", "1", "--out", series]) == 0
     return {
         "config": [str(expou), str(two_factor)],
+        "jump.samples_file": [str(root / "exercises.txt"), str(root / "missing.txt")],
         "infile": [series],
         "exercises": ["hourly", f"csv:{root / 'exercises.txt'}", "daily"],
         "strikes": ["30,40", "", "40,40", "-1e307", "nan"],
@@ -905,6 +995,20 @@ def contract_inputs(tmp_path_factory):
         "time_col": ["t", "X", "missing"],
         "price_col": ["X", "t", "missing"],
     }
+
+
+@st.composite
+def contract_config(draw, base, text_values, out):
+    """A copy of the config file ``base`` in ``out`` with up to two keys set, each value from its table."""
+    keys = draw(st.lists(st.sampled_from(sorted(config._KEYS)), max_size=2, unique=True))
+    with open(base) as handle:
+        lines = [line for line in handle if line.split("=")[0].strip() not in keys]
+    lines += [f"{key} = {draw(st.sampled_from(contract_config_values(key, text_values)))}\n" for key in keys]
+    note(f"config: {base} with {lines[len(lines) - len(keys):]}")
+    path = os.path.join(out, "contract.cfg")
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+    return path
 
 
 @st.composite
@@ -928,13 +1032,15 @@ def contract_argv(draw, text_values, out):
         elif action.type is float:
             values = CONTRACT_FLOATS
         elif action.type is int:
-            cap = CONTRACT_INT_CAPS.get(action.dest)
-            values = CONTRACT_INTS if cap is None else [v for v in CONTRACT_INTS if v < cap] + [cap]
+            values = contract_ints(action.dest)
         elif action.dest in ("out", "truth_out"):
             values = [os.path.join(out, action.dest)]
         else:
             values = text_values[action.dest]
-        argv.append(f"{flag}={draw(st.sampled_from(values))}")  # '=' keeps a value like -inf from reading as a flag
+        value = draw(st.sampled_from(values))
+        if action.dest == "config":
+            value = draw(contract_config(value, text_values, out))
+        argv.append(f"{flag}={value}")  # '=' keeps a value like -inf from reading as a flag
     return argv
 
 

@@ -23,7 +23,7 @@ from spikelab.experiments import (
     study_summary,
 )
 from spikelab.model import ExpOU, GridSpec, SignedExponentialMixture, SpikeParams
-from spikelab.pricing import ForwardCurve, StripOptionSpec, TwoFactorParams, price_strip_mc
+from spikelab.pricing import ForwardCurve, TwoFactorParams, price_strip_mc
 from spikelab.simulate import child_seed, make_rng
 
 STUDY_LAW = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
@@ -226,15 +226,16 @@ class TestPricingStudy:
         rows = run_pricing_study(config)
         assert [row.strike for row in rows] == [20.0, 40.0, 80.0]
         for row in rows:
-            spec = StripOptionSpec(config.exercise_times, row.strike, config.num_sims)
             for key, spikes, price in ((0, None, row.without_spikes), (0, config.spikes, row.with_spikes)):
                 alone = price_strip_mc(
                     config.two_factor,
                     config.curve,
                     spikes,
                     config.grid,
-                    spec,
-                    rng=make_rng(child_seed(config.master_seed, key)),
+                    config.exercise_times,
+                    row.strike,
+                    config.num_sims,
+                    make_rng(child_seed(config.master_seed, key)),
                     antithetic=antithetic,
                 )
                 assert price == alone

@@ -12,7 +12,6 @@ from scipy import stats
 from spikelab.model import Empirical, GridSpec, SignedExponentialMixture, SpikeParams
 from spikelab.pricing import (
     ForwardCurve,
-    StripOptionSpec,
     TwoFactorParams,
     forward_spike_arith,
     forward_spike_delivery,
@@ -264,11 +263,10 @@ class TestTwoFactorForward:
         assert abs(total.mean() - predicted) < 3 * se
 
 
-def tiny_strip_spec(strike, sims=2_000, seed=0):
+def tiny_strip(strike, sims=2_000, seed=0):
+    """``price_strip_mc``'s arguments from the grid on: 60 steps, every step exercised, a fresh stream."""
     grid = GridSpec(60, 1.0)
-    return grid, StripOptionSpec(
-        exercise_times=grid.times()[1:], strike=strike, num_sims=sims, seed=seed
-    )
+    return grid, grid.times()[1:], strike, sims, make_rng(seed)
 
 
 class TestStripPricing:
@@ -276,14 +274,12 @@ class TestStripPricing:
     SPIKES = SpikeParams(35.0, 21_000.0, SignedExponentialMixture((0.4, 0.6), (1 / 30, 1 / 60), (-1, 1)))
 
     def test_unreachable_strike_prices_zero(self):
-        grid, spec = tiny_strip_spec(1e6)
-        price = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, grid, spec)
+        price = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, *tiny_strip(1e6))
         assert price.estimate == 0.0
         assert price.ci95 == (0.0, 0.0)
 
     def test_ci_shape_invariants(self):
-        grid, spec = tiny_strip_spec(40.0)
-        price = price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec)
+        price = price_strip_mc(MARKET_TF, self.CURVE, None, *tiny_strip(40.0))
         lo, hi = price.ci95
         assert lo <= price.estimate <= hi
         assert hi - lo == pytest.approx(2 * 1.96 * price.stderr, rel=1e-12)
@@ -292,60 +288,52 @@ class TestStripPricing:
         grid = GridSpec(60, 1.0)
         prices = []
         for strike in (20.0, 40.0, 60.0, 100.0):
-            spec = StripOptionSpec(grid.times()[1:], strike, num_sims=1_000, seed=7)
-            prices.append(price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, grid, spec).estimate)
+            price = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, grid, grid.times()[1:], strike, 1_000, make_rng(7))
+            prices.append(price.estimate)
         assert prices == sorted(prices, reverse=True)
 
     def test_deterministic_for_fixed_seed(self):
-        grid, spec = tiny_strip_spec(40.0)
-        a = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, grid, spec)
-        b = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, grid, spec)
+        a = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, *tiny_strip(40.0))
+        b = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, *tiny_strip(40.0))
         assert a == b
 
     def test_off_grid_exercise_rejected(self):
         grid = GridSpec(60, 1.0)
-        spec = StripOptionSpec(np.array([0.0105]), 40.0, num_sims=100, seed=0)
         with pytest.raises(ValueError, match="not on the simulation grid"):
-            price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec)
+            price_strip_mc(MARKET_TF, self.CURVE, None, grid, np.array([0.0105]), 40.0, 100, make_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_exercise_time_rejected(self, bad):
-        grid, spec = tiny_strip_spec(40.0)
-        times = np.array([spec.exercise_times[0], bad])
+        grid = GridSpec(60, 1.0)
+        times = np.array([grid.times()[1], bad])
         message = f"^exercise times must be finite, got {bad}$"
-        with pytest.raises(ValueError, match=message):
-            StripOptionSpec(times, 40.0, num_sims=100)
         with pytest.raises(ValueError, match=message):
             strip_payoffs(MARKET_TF, self.CURVE, (None,), grid, times, (40.0,), 100, make_rng(0))
 
     def test_upward_spikes_raise_high_strike_price(self):
-        grid, spec = tiny_strip_spec(150.0, sims=4_000, seed=3)
-        without = price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec)
-        with_spikes = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, grid, spec)
+        without = price_strip_mc(MARKET_TF, self.CURVE, None, *tiny_strip(150.0, sims=4_000, seed=3))
+        with_spikes = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, *tiny_strip(150.0, sims=4_000, seed=3))
         assert with_spikes.estimate > without.estimate
 
     def test_antithetic_agrees_with_plain(self):
-        grid, spec = tiny_strip_spec(40.0, sims=4_000)
-        plain = price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec)
-        anti = price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec, antithetic=True)
+        plain = price_strip_mc(MARKET_TF, self.CURVE, None, *tiny_strip(40.0, sims=4_000))
+        anti = price_strip_mc(MARKET_TF, self.CURVE, None, *tiny_strip(40.0, sims=4_000), antithetic=True)
         # same quantity, independent estimators: agree within joint error bars
         joint = math.hypot(plain.stderr, anti.stderr)
         assert abs(plain.estimate - anti.estimate) < 4 * joint
 
     def test_antithetic_needs_even_sims(self):
-        grid, spec = tiny_strip_spec(40.0, sims=2_001)
         with pytest.raises(ValueError):
-            price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec, antithetic=True)
+            price_strip_mc(MARKET_TF, self.CURVE, None, *tiny_strip(40.0, sims=2_001), antithetic=True)
 
     def test_antithetic_needs_two_pairs(self):
         # one pair is one payoff unit, whose sample deviation is undefined
-        grid, spec = tiny_strip_spec(40.0, sims=2)
+        grid, times, _, _, rng = tiny_strip(40.0, sims=2)
         with pytest.raises(ValueError, match="at least 4 simulations .*got 2"):
-            strip_payoffs(MARKET_TF, self.CURVE, (None,), grid, spec.exercise_times, (40.0,), 2, make_rng(0), True)
+            strip_payoffs(MARKET_TF, self.CURVE, (None,), grid, times, (40.0,), 2, rng, True)
 
     def test_antithetic_two_pairs_give_a_finite_ci(self):
-        grid, spec = tiny_strip_spec(40.0, sims=4)
-        price = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, grid, spec, antithetic=True)
+        price = price_strip_mc(MARKET_TF, self.CURVE, self.SPIKES, *tiny_strip(40.0, sims=4), antithetic=True)
         assert np.all(np.isfinite([price.estimate, price.stderr, *price.ci95]))
         assert price.stderr > 0
 
@@ -354,8 +342,7 @@ class TestStripPricing:
         grid = GridSpec(30, 1.0)
         estimates, stderrs = [], []
         for seed in range(200):
-            spec = StripOptionSpec(grid.times()[1:], 42.0, num_sims=400, seed=seed)
-            price = price_strip_mc(MARKET_TF, self.CURVE, None, grid, spec)
+            price = price_strip_mc(MARKET_TF, self.CURVE, None, grid, grid.times()[1:], 42.0, 400, make_rng(seed))
             estimates.append(price.estimate)
             stderrs.append(price.stderr)
         estimates = np.asarray(estimates)
@@ -389,6 +376,68 @@ class TestStrikePayoffs:
         for start, stop in zip([0] + cuts, cuts + [n + 1]):
             _add_payoffs(pay, spot[:, start:stop].copy(), start, cols, np.asarray(strikes))
         assert pay.T.tobytes() == strip_payoffs_time_ordered(spot, cols, strikes).tobytes()
+
+
+def monte_carlo_payoffs(two_factor, curve, settings, grid, exercise_times, strikes, seed):
+    """The Monte Carlo pricer's payoffs: one (units, strikes) matrix per spike setting, 32 paths from ``seed``."""
+    return strip_payoffs(two_factor, curve, settings, grid, exercise_times, strikes, 32, make_rng(seed))
+
+
+# Each pricer maps (two-factor params, curve, spike settings, grid, exercise
+# times, strikes, seed) to one (units, strikes) matrix per setting; an exact
+# pricer joins as one more parameter, with a single unit and no use for the seed.
+STRIP_PRICERS = [pytest.param(monte_carlo_payoffs, id="monte-carlo")]
+
+# jump laws of c times the sizes: the mixture's rates divided by c, the empirical samples times c
+SCALED_LAWS = [
+    pytest.param(lambda c: SignedExponentialMixture((0.4, 0.6), (1 / (30 * c), 1 / (60 * c)), (-1, 1)), id="mixture"),
+    pytest.param(lambda c: Empirical(c * np.array([-20.0, 35.0, 80.0])), id="empirical"),
+]
+IDENTITY_GRID = GridSpec(48, 1.0)
+STRIKES = st.lists(st.floats(0.0, 150.0), min_size=1, max_size=4)
+
+
+def scaled_payoffs(pricer, law, c, strikes, seed):
+    """Payoffs without and with spikes when the curve level, the jump sizes and every strike are c times 40, law(1) and ``strikes``."""
+    spikes = SpikeParams(35.0, 100.0, law(c))
+    strikes = tuple(c * k for k in strikes)
+    grid = IDENTITY_GRID
+    return pricer(MARKET_TF, ForwardCurve.flat(40.0 * c), (None, spikes), grid, grid.times()[1:], strikes, seed)
+
+
+@pytest.mark.parametrize("law", SCALED_LAWS)
+@pytest.mark.parametrize("pricer", STRIP_PRICERS)
+class TestStripIdentities:
+    """Exact identities of the strip payoffs, on the same paths: homogeneity of degree 1 and convexity in the strike."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(c=st.sampled_from([0.5, 2.0, 4.0]), strikes=STRIKES, seed=st.integers(0, 2**32 - 1))
+    def test_homogeneous_bit_for_bit_at_powers_of_two(self, pricer, law, c, strikes, seed):
+        # scaling by a power of two is exact in IEEE arithmetic, so every payoff is exactly c times
+        base = scaled_payoffs(pricer, law, 1.0, strikes, seed)
+        for scaled, pay in zip(scaled_payoffs(pricer, law, c, strikes, seed), base):
+            assert scaled.tobytes() == (c * pay).tobytes()
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(c=st.floats(0.1, 10.0), strikes=STRIKES, seed=st.integers(0, 2**32 - 1))
+    def test_homogeneous_to_rounding(self, pricer, law, c, strikes, seed):
+        base = scaled_payoffs(pricer, law, 1.0, strikes, seed)
+        for scaled, pay in zip(scaled_payoffs(pricer, law, c, strikes, seed), base):
+            assert np.abs(scaled - c * pay).max() <= 1e-13 * c * max(np.abs(pay).max(), 1.0)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(strikes=st.lists(st.floats(0.0, 150.0), min_size=3, max_size=6, unique=True), seed=st.integers(0, 2**32 - 1))
+    def test_convex_in_the_strike_unit_by_unit(self, pricer, law, strikes, seed):
+        strikes = sorted(strikes)
+        cols = IDENTITY_GRID.n
+        for pay in scaled_payoffs(pricer, law, 1.0, strikes, seed):
+            # each payoff sums cols terms rounded to half an ulp of themselves, so its error is at most cols * eps * it
+            tol = 4 * cols * np.finfo(float).eps * pay.max(axis=1)
+            for k in range(len(strikes) - 2):
+                lo, mid, hi = strikes[k : k + 3]
+                weight = (hi - mid) / (hi - lo)
+                chord = weight * pay[:, k] + (1.0 - weight) * pay[:, k + 2]
+                assert np.all(pay[:, k + 1] <= chord + tol)
 
 
 class TestBoundedMemory:

@@ -18,12 +18,15 @@ that moves or renames one fails here and not only under ``python -m pytest
 benchmarks``.  In ``cli`` only ``_json`` writes JSON and only ``dispatch``
 prints, so no subcommand prints a record past the strict writer.  Every
 name in a module's ``__all__`` is defined in it, so a deleted name cannot
-stay exported.
+stay exported.  The config key table and the key list of the ``config``
+module docstring name the same keys, so a key is added in the table and its
+documentation cannot drift from it.
 """
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import types
@@ -31,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from spikelab import cli
+from spikelab import cli, config
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {
@@ -273,3 +276,22 @@ def test_json_writers_and_printers_are_seen():
     )
     assert callers(tree, is_json_write) == {"a", "b"}
     assert callers(tree, is_print) == {"b"}
+
+
+def documented_keys(docstring: str) -> set:
+    """The keys in the key column of a docstring's indented key list (the text before a run of spaces)."""
+    lines = docstring.split("Keys:", 1)[1].splitlines()
+    columns = (re.split(r"\s{2,}", line.strip())[0] for line in lines if line.startswith("    "))
+    return {key.strip() for column in columns for key in column.split(",") if key.strip()}
+
+
+def test_config_docstring_lists_the_key_table():
+    assert documented_keys(config.__doc__) == set(config._KEYS)
+
+
+def test_documented_keys_are_seen():
+    docstring = "Text.  Keys:\n\n    lambda, beta        rates; lambda:beta pairs\n    grid.n,\n    grid.horizon   steps\n"
+    assert documented_keys(docstring) == {"lambda", "beta", "grid.n", "grid.horizon"}
+    # a key dropped from the docstring breaks the guard's equality
+    dropped = config.__doc__.replace("    cont.curve_level\n", "")
+    assert set(config._KEYS) - documented_keys(dropped) == {"cont.curve_level"}
