@@ -20,7 +20,6 @@ from .model import (
     TwoFactorParams,
 )
 from .simulate import (
-    JumpRecord,
     SimulatedPath,
     child_seed,
     make_rng,

@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import config as cfgmod
-from .detect import PLAIN, SIGN_FILTERED, DetectionConfig, detect_jumps
+from .detect import MODES, DetectionConfig, detect_jumps
 from .estimate import estimate_spikes
 from .experiments import (
     PricingStudyConfig,
@@ -70,15 +70,13 @@ def _cmd_simulate(args):
     columns = grid.times(), sim.observed.values, sim.continuous.values, sim.spike.values
     _write_columns(args.out, ["t", "X", "Xc", "Z"], *columns)
     truth_path = args.truth_out or args.out + ".truth.csv"
-    _write_columns(truth_path, ["t_jump", "size"], [rec.time for rec in sim.truth], [rec.size for rec in sim.truth])
+    _write_columns(truth_path, ["t_jump", "size"], *sim.truth.T)
     record = {"out": args.out, "truth": truth_path, "n": grid.n, "jumps": len(sim.truth)}
     return record, [f"wrote {grid.n + 1} observations to {args.out} ({len(sim.truth)} jumps, truth in {truth_path})"]
 
 
 def _ingest_rules(args) -> IngestRules:
-    gap = GAP_FFILL1 if args.gap_policy == "ffill1" else GAP_REJECT
-    dedup = DEDUP_KEEP_FIRST if args.dedup_policy == "keep-first" else DEDUP_REJECT
-    return IngestRules(args.time_col, args.price_col, args.step, gap_policy=gap, dedup_policy=dedup)
+    return IngestRules(args.time_col, args.price_col, args.step, args.gap_policy, args.dedup_policy)
 
 
 def _detect_with_flags(path, args):
@@ -267,13 +265,13 @@ def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-col", default=None, help="timestamp column (default: first)")
     parser.add_argument("--price-col", default=None, help="price column (default: second)")
     parser.add_argument("--step", type=float, default=None, help="expected time step (default: inferred)")
-    parser.add_argument("--gap-policy", choices=["reject", "ffill1"], default="reject")
-    parser.add_argument("--dedup-policy", choices=["reject", "keep-first"], default="reject")
+    parser.add_argument("--gap-policy", choices=(GAP_REJECT, GAP_FFILL1), default=GAP_REJECT)
+    parser.add_argument("--dedup-policy", choices=(DEDUP_REJECT, DEDUP_KEEP_FIRST), default=DEDUP_REJECT)
 
 
 def _add_detection_flags(parser: argparse.ArgumentParser, include_mode: bool = True) -> None:
     if include_mode:
-        parser.add_argument("--mode", choices=(PLAIN, SIGN_FILTERED), default=DetectionConfig.mode)
+        parser.add_argument("--mode", choices=MODES, default=DetectionConfig.mode)
     shown = "(default %(default)s)"
     parser.add_argument("--C", type=float, default=DetectionConfig.constant, help=f"threshold constant {shown}")
     parser.add_argument("--varpi", type=float, default=DetectionConfig.exponent, help=f"threshold exponent {shown}")

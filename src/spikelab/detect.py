@@ -36,6 +36,7 @@ from .model import GridSpec, SampledPath, positive
 __all__ = [
     "PLAIN",
     "SIGN_FILTERED",
+    "MODES",
     "DetectionConfig",
     "DetectionReport",
     "DegeneratePathError",
@@ -48,7 +49,7 @@ __all__ = [
 
 PLAIN = "plain"
 SIGN_FILTERED = "signfiltered"
-_MODES = (PLAIN, SIGN_FILTERED)
+MODES = (PLAIN, SIGN_FILTERED)
 
 
 class DegeneratePathError(ValueError):
@@ -76,8 +77,8 @@ class DetectionConfig:
             raise ValueError(f"exponent must lie in [0, 1/2), got {self.exponent}")
         if self.mpv_order < 2:
             raise ValueError(f"multipower order must be >= 2, got {self.mpv_order}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .detect import DetectionReport
 from .model import GridSpec, SampledPath, sign
-from .simulate import JumpRecord, interval_index
 
 __all__ = [
     "EstimateFlags",
@@ -144,10 +143,8 @@ def estimate_beta(path: SampledPath, report: DetectionReport) -> BetaEstimate:
     return BetaEstimate(beta, slope, EstimateFlags(floored=floored, boundary_drops=drops))
 
 
-def oracle_estimate_beta(
-    path: SampledPath, truth: Sequence[JumpRecord], grid: GridSpec
-) -> BetaEstimate:
-    """Reversion estimator fed the true jump times and sizes.
+def oracle_estimate_beta(path: SampledPath, truth: np.ndarray) -> BetaEstimate:
+    """Reversion estimator fed the true jumps, a (k, 2) array of (time, size) rows.
 
     Restricts to jumps q whose successor interval contains no jump and that
     are last in their own interval; the correction sum uses the true sizes of
@@ -156,13 +153,12 @@ def oracle_estimate_beta(
     """
     if len(truth) == 0:
         return BetaEstimate(0.0, 0.0, EstimateFlags(undefined=True))
-    n, mesh = grid.n, grid.mesh
+    n, mesh = path.grid.n, path.grid.mesh
     incr = path.increments()
-    times = np.array([rec.time for rec in truth])
-    sizes = np.array([rec.size for rec in truth])
+    times, sizes = truth.T
     order = np.argsort(times, kind="stable")
     times, sizes = times[order], sizes[order]
-    idx = interval_index(times, grid)
+    idx = path.grid.interval_index(times)
     occupied = set(idx.tolist())
 
     num = 0.0

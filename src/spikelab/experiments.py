@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .detect import PLAIN, SIGN_FILTERED, DetectionConfig, detect_jumps, multipower_variation
+from .detect import MODES, DetectionConfig, detect_jumps, multipower_variation
 from .estimate import estimate_beta, estimate_lambda
 from .model import ContinuousSpec, ForwardCurve, GridSpec, JumpLaw, ModelSpec, SpikeParams
 from .model import TwoFactorParams
@@ -62,11 +62,11 @@ class StudyConfig:
     law: JumpLaw
     continuous: ContinuousSpec
     master_seed: int = 0
-    modes: Tuple[str, ...] = (PLAIN, SIGN_FILTERED)
+    modes: Tuple[str, ...] = MODES
 
     def __post_init__(self):
         for k, mode in enumerate(self.modes):
-            if mode not in (PLAIN, SIGN_FILTERED):
+            if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
             if mode in self.modes[:k]:
                 raise ValueError(f"mode {mode!r} is repeated")

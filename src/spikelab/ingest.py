@@ -40,9 +40,9 @@ __all__ = ["IngestRules", "IngestReport", "IngestError", "load_spot_csv"]
 SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
 
 GAP_REJECT = "reject"
-GAP_FFILL1 = "forward_fill_max_1"
+GAP_FFILL1 = "ffill1"
 DEDUP_REJECT = "reject"
-DEDUP_KEEP_FIRST = "keep_first"
+DEDUP_KEEP_FIRST = "keep-first"
 
 # The ISO-8601 shapes (digits written as 9) that the bulk pass converts: up
 # to the zone, each is read the same way by datetime.fromisoformat on every
@@ -222,7 +222,7 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
     """Load a price series onto a strictly regular grid, horizon normalized to 1.
 
     Duplicated timestamps follow ``dedup_policy``; a single missing step is
-    forward filled under ``forward_fill_max_1`` and anything larger is an
+    forward filled under ``GAP_FFILL1`` and anything larger is an
     error naming the first missing timestamp.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # an Excel file's byte-order mark is not a name

@@ -89,6 +89,20 @@ class GridSpec:
         """Observation times t_i = i * mesh, i = 0..n."""
         return np.arange(self.n + 1) * self.mesh
 
+    def interval_index(self, time):
+        """Index i in 1..n with t_{i-1} < time <= t_i on the grid.
+
+        Elementwise for an array of times (returns an integer array); a scalar
+        time gives an int.  The search compares with the grid times themselves,
+        so no roundoff in time / mesh moves a time near a grid point; times at
+        or below 0 give 1 and times past the horizon give n.
+        """
+        time = np.asarray(time, dtype=float)
+        if not np.isfinite(time).all():
+            raise ValueError("jump times must be finite")
+        i = np.clip(np.searchsorted(self.times(), time), 1, self.n)
+        return int(i) if i.ndim == 0 else i
+
 
 @dataclass(frozen=True)
 class SampledPath:

@@ -85,7 +85,8 @@ def _forward_spike(z_now: float, params: SpikeParams, t: float, maturity: float,
     """Arithmetic spike correction whose decaying part is multiplied by ``smear`` (1 for an instant)."""
     lam, beta = params.intensity, params.reversion
     decay = _decay(z_now, params, t, maturity)
-    return decay * smear * z_now + lam * params.law.mean() / beta * (1.0 - decay * smear)
+    value = decay * smear * z_now + lam * params.law.mean() / beta * (1.0 - decay * smear)
+    return finite(f"spike forward correction at reversion {beta!r}", value)  # lam m1 / beta is inf at a tiny beta
 
 
 def forward_spike_arith(z_now: float, params: SpikeParams, t: float, maturity: float) -> float:

@@ -63,11 +63,9 @@ from .model import LOG_MAX, ContinuousSpec, ExpOU, Flat, ForwardCurve, GridSpec,
 from .model import SpikeParams, TwoFactorDynamics, TwoFactorParams
 
 __all__ = [
-    "JumpRecord",
     "SimulatedPath",
     "make_rng",
     "child_seed",
-    "interval_index",
     "simulate_spikes",
     "spike_values_batch",
     "simulate_exp_ou",
@@ -89,86 +87,65 @@ def child_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
 
 
 @dataclass(frozen=True)
-class JumpRecord:
-    """One jump of the driving Poisson measure: arrival time and size."""
-
-    time: float
-    size: float
-
-
-@dataclass(frozen=True)
 class SimulatedPath:
-    """Simulated decomposition X = Xc + Z with the exact jump bookkeeping."""
+    """Simulated decomposition X = Xc + Z with the exact jumps.
+
+    ``truth`` holds one (arrival time, size) row a jump, in time order: a
+    read-only (k, 2) array whose ``len`` is the jump count.
+    """
 
     observed: SampledPath
     continuous: SampledPath
     spike: SampledPath
-    truth: Tuple[JumpRecord, ...]
+    truth: np.ndarray
 
 
-def interval_index(time, grid: GridSpec):
-    """Index i in 1..n with t_{i-1} < time <= t_i on the grid.
-
-    Elementwise for an array of times (returns an integer array); a scalar
-    time gives an int.  The search compares with the grid times themselves,
-    so no roundoff in time / mesh moves a time near a grid point; times at
-    or below 0 give 1 and times past the horizon give n.
-    """
-    time = np.asarray(time, dtype=float)
-    if not np.isfinite(time).all():
-        raise ValueError("jump times must be finite")
-    i = np.clip(np.searchsorted(grid.times(), time), 1, grid.n)
-    return int(i) if i.ndim == 0 else i
-
-
-def _draw_jumps(
-    params: SpikeParams, grid: GridSpec, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One path's jumps (sorted arrival times, sizes).
+def _draw_jumps(params: SpikeParams, grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
+    """One path's jumps, a read-only (k, 2) array of (arrival time, size) rows in time order.
 
     The single place that fixes the order in which a path's jumps are drawn
-    from the stream, shared by ``simulate_spikes`` and ``spot_chunks``.  A
-    time equal to t_i counts in interval i and a time of 0 in interval 1
-    (see ``interval_index``).
+    from the stream (the count, the sorted times, then the sizes), shared by
+    ``simulate_spikes`` and ``spot_chunks``.  A time equal to t_i counts in
+    interval i and a time of 0 in interval 1 (see ``GridSpec.interval_index``).
     """
     horizon = grid.horizon
     if not params.intensity * horizon <= 1e18:  # numpy's Poisson sampler stops near 9.2e18
         raise ValueError(f"intensity {params.intensity!r} times horizon {horizon!r} asks for over 1e18 jumps a path")
     count = int(rng.poisson(params.intensity * horizon))
-    times = np.sort(rng.uniform(0.0, horizon, count))
-    return times, params.law.sample(rng, count)
+    jumps = np.empty((count, 2))
+    jumps[:, 0] = np.sort(rng.uniform(0.0, horizon, count))
+    jumps[:, 1] = params.law.sample(rng, count)
+    jumps.flags.writeable = False
+    return jumps
 
 
 def simulate_spikes(
     params: SpikeParams, grid: GridSpec, rng: np.random.Generator
-) -> Tuple[SampledPath, Tuple[JumpRecord, ...]]:
+) -> Tuple[SampledPath, np.ndarray]:
     """Simulate the spike process on the grid together with its exact jumps.
 
     The jump count is Poisson(intensity * horizon), arrival times are uniform
-    order statistics on [0, horizon) and sizes are i.i.d. from the law.  Grid
-    values are computed without discretization error, as row 0 of
+    order statistics on [0, horizon) and sizes are i.i.d. from the law; the
+    jumps come back as the (k, 2) array of (time, size) rows.  Grid values
+    are computed without discretization error, as row 0 of
     ``spike_values_batch``.
     """
-    times, sizes = _draw_jumps(params, grid, rng)
-    truth = tuple(map(JumpRecord, times.tolist(), sizes.tolist()))
-    values = spike_values_batch([(times, sizes)], grid, params.reversion)[0]
-    return SampledPath(grid, values), truth
+    truth = _draw_jumps(params, grid, rng)
+    return SampledPath(grid, spike_values_batch([truth], grid, params.reversion)[0]), truth
 
 
-def spike_values_batch(
-    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float
-) -> np.ndarray:
+def spike_values_batch(jumps: Sequence[np.ndarray], grid: GridSpec, reversion: float) -> np.ndarray:
     """Spike-process values of several paths at once, shape (len(jumps), n + 1).
 
-    Row p is built from jumps[p] = (sorted arrival times, sizes).  Every jump
-    is placed in its interval at once and the per-step decay runs as one
-    first-order recursion down the grid, Z_{t_i} = (new jumps decayed to t_i)
-    + d * Z_{t_{i-1}}.  On a jumpless step the recursion adds an exact 0.0,
-    so Z_{t_i} == d * Z_{t_{i-1}} bit for bit.  The per-step loop form of
-    this recursion is the test oracle: rows equal it bit for bit except where
-    two jumps share an interval, where the order of the sums moves them a few
-    ulps.  The values are the blocks of ``spot_chunks``' spike leg,
-    concatenated.
+    Row p is built from jumps[p], a (k, 2) array of (arrival time, size) rows
+    in time order.  Every jump is placed in its interval at once and the
+    per-step decay runs as one first-order recursion down the grid, Z_{t_i} =
+    (new jumps decayed to t_i) + d * Z_{t_{i-1}}.  On a jumpless step the
+    recursion adds an exact 0.0, so Z_{t_i} == d * Z_{t_{i-1}} bit for bit.
+    The per-step loop form of this recursion is the test oracle: rows equal
+    it bit for bit except where two jumps share an interval, where the order
+    of the sums moves them a few ulps.  The values are the blocks of
+    ``spot_chunks``' spike leg, concatenated.
     """
     if not jumps:
         raise ValueError("jumps must hold at least one path")
@@ -229,7 +206,7 @@ def _recurse(block: np.ndarray, state, coef: np.ndarray) -> np.ndarray:
 
 
 def _spike_chunks(
-    jumps: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSpec, reversion: float, width: int, logs=None
+    jumps: Sequence[np.ndarray], grid: GridSpec, reversion: float, width: int, logs=None
 ) -> Iterator[np.ndarray]:
     """Spike values of a batch, one time-major (width, lanes) block per chunk of grid columns.
 
@@ -237,18 +214,19 @@ def _spike_chunks(
     the rows' log exp-OU lanes come first, so both legs run as one recursion.
     Jumps are decayed to their interval's end and added by ``np.add.at`` in
     time order; each lane's state carries into the next chunk, so the blocks
-    are the rows of one whole-grid recursion, bit for bit.
+    are the rows of one whole-grid recursion, bit for bit.  A spike value
+    past the float range carries inf or NaN into its lane's state, so a
+    check of the state after each chunk finds it.
     """
-    times = np.concatenate([t for t, _ in jumps])
-    idx = interval_index(times, grid)
-    kicks_at = np.concatenate([x for _, x in jumps]) * np.exp(-reversion * (idx * grid.mesh - times))
+    times, sizes = np.concatenate(jumps).T
+    idx = grid.interval_index(times)
+    kicks_at = sizes * np.exp(-reversion * (idx * grid.mesh - times))
     rows, a, log_state = (np.empty((0, grid.n + 1)), 0.0, 0.0) if logs is None else logs
     lead = len(rows)
-    lanes = np.repeat(np.arange(lead, lead + len(jumps)), [t.size for t, _ in jumps])
+    lanes = np.repeat(np.arange(lead, lead + len(jumps)), [len(path) for path in jumps])
     # order the kicks by interval, stably, to slice them per chunk
     order = np.argsort(idx, kind="stable")
     idx, lanes, kicks_at = idx[order], lanes[order], kicks_at[order]
-    del times, order  # not held while the walk runs
     coef, state = np.full(lead + len(jumps), np.exp(-reversion * grid.mesh)), np.zeros(lead + len(jumps))
     coef[:lead], state[:lead] = a, log_state
     for start in range(0, grid.n + 1, width):
@@ -256,10 +234,14 @@ def _spike_chunks(
         lo, hi = np.searchsorted(idx, (start, stop))
         block = np.zeros((stop - start, lead + len(jumps)))
         block[:, :lead] = rows[:, start:stop].T
-        np.add.at(block, (idx[lo:hi] - start, lanes[lo:hi]), kicks_at[lo:hi])
         first = 1 if start == 0 else 0  # column 0 holds Z_0 = 0 and Y_0
-        if stop > start + first:
-            state = _recurse(block[first:], state, coef)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            np.add.at(block, (idx[lo:hi] - start, lanes[lo:hi]), kicks_at[lo:hi])
+            if stop > start + first:
+                state = _recurse(block[first:], state, coef)
+        if not np.isfinite(state[lead:]).all():
+            top = np.abs(sizes).max()
+            raise ValueError(f"jump sizes up to {top:.6g} with reversion {reversion!r} make the spike process overflow a float")
         yield block
 
 
@@ -386,8 +368,7 @@ def simulate_spot(
     and the jumps from the second; the path is the one ``observed_rows``
     gives on that generator, with Xc and Z kept apart.
     """
-    ((times, sizes),), (xc,), (z,) = next(_spot_blocks(model, grid, (rng,), split=True))
-    truth = tuple(map(JumpRecord, times.tolist(), sizes.tolist()))
+    (truth,), (xc,), (z,) = next(_spot_blocks(model, grid, (rng,), split=True))
     return SimulatedPath(SampledPath(grid, xc + z), SampledPath(grid, xc), SampledPath(grid, z), truth)
 
 

@@ -13,14 +13,14 @@ recursion, which must match it bit for bit.
 """
 
 import math
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.signal import lfilter
 
 from spikelab.detect import DegeneratePathError, gaussian_abs_moment
 from spikelab.model import GridSpec, JumpLaw, SignedExponentialMixture, SpikeParams, TwoFactorParams
-from spikelab.simulate import JumpRecord, _factor_chunks, interval_index
+from spikelab.simulate import _factor_chunks
 
 
 def spike_terminal_samples(
@@ -37,10 +37,8 @@ def spike_terminal_samples(
     return np.bincount(path_idx, weights=contrib, minlength=n_paths)
 
 
-def spike_values_from_jumps(
-    truth: Sequence[JumpRecord], grid: GridSpec, reversion: float
-) -> np.ndarray:
-    """Spike-process values Z_{t_i} = sum_{T_q <= t_i} J_q exp(-beta (t_i - T_q)).
+def spike_values_from_jumps(truth: np.ndarray, grid: GridSpec, reversion: float) -> np.ndarray:
+    """Spike-process values Z_{t_i} = sum_{T_q <= t_i} J_q exp(-beta (t_i - T_q)), from (time, size) rows.
 
     Evaluated by the exact per-step recursion Z_{t_i} = Z_{t_{i-1}} * d + (new
     jumps decayed to t_i) with d = exp(-beta * mesh); on jumpless steps the
@@ -49,13 +47,12 @@ def spike_values_from_jumps(
     n, mesh = grid.n, grid.mesh
     decay = np.exp(-reversion * mesh)
     z = np.zeros(n + 1)
-    if not truth:
+    if len(truth) == 0:
         return z
-    times = np.array([rec.time for rec in truth])
-    sizes = np.array([rec.size for rec in truth])
+    times, sizes = truth.T
     if np.any(np.diff(times) < 0):
         raise ValueError("jump records must be sorted by time")
-    idx = interval_index(times, grid)
+    idx = grid.interval_index(times)
 
     cur = 0.0
     pos = 0

@@ -30,7 +30,7 @@ from spikelab.pricing import (
     forward_spike_delivery,
     forward_spike_log,
 )
-from spikelab.simulate import child_seed, interval_index, make_rng, simulate_spikes, simulate_spot
+from spikelab.simulate import child_seed, make_rng, simulate_spikes, simulate_spot
 
 from mc_oracles import adaptive_simpson, mc_mean_with_se, spike_terminal_samples
 
@@ -260,7 +260,7 @@ def test_criterion_6_simulator_invariants():
     grid = GridSpec(10_000, 1.0)
     path, truth = simulate_spikes(params, grid, make_rng(607))
     decay = np.exp(-params.reversion * grid.mesh)
-    jump_intervals = {interval_index(rec.time, grid) for rec in truth}
+    jump_intervals = set(grid.interval_index(truth[:, 0]).tolist())
     exact = all(
         path.values[i] == path.values[i - 1] * decay
         for i in range(1, grid.n + 1)
@@ -300,7 +300,7 @@ def test_criterion_7_oracle_feasible_agreement():
     for r in range(reps):
         sim = simulate_spot(model, grid, make_rng(child_seed(808, r)))
         report = detect_jumps(sim.observed, config)
-        truth_idx = [interval_index(rec.time, grid) for rec in sim.truth]
+        truth_idx = grid.interval_index(sim.truth[:, 0]).tolist()
         exact = (
             len(sim.truth) > 0
             and report.count == len(sim.truth)
@@ -310,7 +310,7 @@ def test_criterion_7_oracle_feasible_agreement():
             continue
         qualifying += 1
         feasible = estimate_beta(sim.observed, report).beta_hat
-        oracle = oracle_estimate_beta(sim.observed, sim.truth, grid).beta_hat
+        oracle = oracle_estimate_beta(sim.observed, sim.truth).beta_hat
         if abs(feasible - oracle) / beta <= 0.05:
             agree += 1
 
@@ -338,7 +338,7 @@ def test_exact_detection_rate_exceeds_half_and_grows():
         for r in range(reps):
             sim = simulate_spot(model, grid, make_rng(child_seed(1, n, r)))
             report = detect_jumps(sim.observed, config)
-            truth_idx = [interval_index(rec.time, grid) for rec in sim.truth]
+            truth_idx = grid.interval_index(sim.truth[:, 0]).tolist()
             if report.count == len(sim.truth) and list(report.indices) == truth_idx:
                 hits += 1
         rates[n] = hits / reps

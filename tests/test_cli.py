@@ -577,6 +577,38 @@ class TestDispatch:
                 "model.cfg:15: bad number for 'cont.kappa': 'abc'",
                 id="bad-value-in-unread-key",
             ),
+            pytest.param(
+                # lam m1 / beta is inf and 1 - exp(-beta (T - t)) is 0
+                TWO_FACTOR_CFG.replace("beta = 21000", "beta = 1e-310"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.05"],
+                "spike forward correction at reversion 1e-310 must be finite, got nan",
+                id="tiny-reversion-instant-forward",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("beta = 21000", "beta = 1e-310"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.05", "--theta", "0.02"],
+                "spike forward correction at reversion 1e-310 must be finite, got nan",
+                id="tiny-reversion-delivery-forward",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("beta = 21000", "beta = 1e-310"),
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.05", "--json"],
+                "spike forward correction at reversion 1e-310 must be finite, got nan",
+                id="tiny-reversion-forward-json",
+            ),
+            pytest.param(
+                MODEL_CFG.replace("beta = 200", "beta = 0.001").replace("grid.n = 10000", "grid.n = 4")
+                + "jump.kind = pointmass\njump.size = 1e308\n",
+                ["simulate", "--config", "{cfg}", "--out", "{tmp}/sim.csv"],
+                "jump sizes up to 1e+308 with reversion 0.001 make the spike process overflow a float",
+                id="spike-process-overflows",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG.replace("beta = 21000", "beta = 0.001") + "jump.kind = pointmass\njump.size = 1e308\n",
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "8"],
+                "jump sizes up to 1e+308 with reversion 0.001 make the spike process overflow a float",
+                id="strip-spike-process-overflows",
+            ),
         ],
     )
     def test_bad_input_fails_in_one_line(self, tmp_path, capsys, config_text, argv, message):

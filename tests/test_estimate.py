@@ -15,7 +15,6 @@ from spikelab.estimate import (
     oracle_estimate_beta,
 )
 from spikelab.model import GridSpec, SampledPath
-from spikelab.simulate import JumpRecord
 
 from test_detect import decay_spike_path
 
@@ -121,13 +120,13 @@ class TestOracle:
         t = grid.times()
         values = np.where(t >= tau, np.exp(-beta * (t - tau)), 0.0)
         path = SampledPath(grid, values)
-        est = oracle_estimate_beta(path, [JumpRecord(tau, 1.0)], grid)
+        est = oracle_estimate_beta(path, np.array([[tau, 1.0]]))
         assert est.beta_hat == pytest.approx(beta, rel=1e-9)
 
     def test_empty_truth_undefined(self):
         grid = GridSpec(100, 1.0)
         path = SampledPath(grid, np.zeros(101))
-        est = oracle_estimate_beta(path, [], grid)
+        est = oracle_estimate_beta(path, np.empty((0, 2)))
         assert est.flags.undefined
 
     def test_jump_in_successor_interval_is_excluded(self):
@@ -141,7 +140,7 @@ class TestOracle:
         values = np.where(t >= tau1, np.exp(-beta * (t - tau1)), 0.0)
         values = values + np.where(t >= tau2, np.exp(-beta * (t - tau2)), 0.0)
         path = SampledPath(grid, values)
-        est = oracle_estimate_beta(path, [JumpRecord(tau1, 1.0), JumpRecord(tau2, 1.0)], grid)
+        est = oracle_estimate_beta(path, np.array([[tau1, 1.0], [tau2, 1.0]]))
         assert not est.flags.undefined
         incr = path.increments()
         expected_ratio = (incr[102] + 2 * mesh * 1.0) / incr[101]
@@ -184,7 +183,7 @@ class TestEnsembles:
         for sim, grid in self._simulated(law, 5050, 300):
             report = detect_jumps(sim.observed, config)
             feas = estimate_beta(sim.observed, report)
-            orac = oracle_estimate_beta(sim.observed, sim.truth, grid)
+            orac = oracle_estimate_beta(sim.observed, sim.truth)
             if feas.flags.undefined or orac.flags.undefined:
                 continue
             feasible_err.append(abs(feas.beta_hat - 200.0) / 200.0)

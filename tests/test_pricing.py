@@ -378,14 +378,15 @@ class TestStrikePayoffs:
         assert pay.T.tobytes() == strip_payoffs_time_ordered(spot, cols, strikes).tobytes()
 
 
-def monte_carlo_payoffs(two_factor, curve, settings, grid, exercise_times, strikes, seed):
-    """The Monte Carlo pricer's payoffs: one (units, strikes) matrix per spike setting, 32 paths from ``seed``."""
-    return strip_payoffs(two_factor, curve, settings, grid, exercise_times, strikes, 32, make_rng(seed))
+def monte_carlo_payoffs(two_factor, curve, settings, grid, exercise_times, strikes, seed, sims=32):
+    """The Monte Carlo pricer's payoffs: one (units, strikes) matrix per spike setting, ``sims`` paths from ``seed``."""
+    return strip_payoffs(two_factor, curve, settings, grid, exercise_times, strikes, sims, make_rng(seed))
 
 
 # Each pricer maps (two-factor params, curve, spike settings, grid, exercise
-# times, strikes, seed) to one (units, strikes) matrix per setting; an exact
-# pricer joins as one more parameter, with a single unit and no use for the seed.
+# times, strikes, seed, sims=paths) to one (units, strikes) matrix per setting;
+# an exact pricer joins as one more parameter, with a single unit and no use
+# for the seed or the paths.
 STRIP_PRICERS = [pytest.param(monte_carlo_payoffs, id="monte-carlo")]
 
 # jump laws of c times the sizes: the mixture's rates divided by c, the empirical samples times c
@@ -438,6 +439,21 @@ class TestStripIdentities:
                 weight = (hi - mid) / (hi - lo)
                 chord = weight * pay[:, k] + (1.0 - weight) * pay[:, k + 2]
                 assert np.all(pay[:, k + 1] <= chord + tol)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("pricer", STRIP_PRICERS)
+def test_unclipped_strip_sums_the_forwards(pricer, seed):
+    # below every spot no payoff is clipped, so payoff + K dates = sum_t S_t, whose mean is sum_t f(0, t):
+    # the factor leg is checked against the curve and the paired spike leg against the spike correction,
+    # on the strip-pricing benchmark's hourly year and 1,024 paths
+    grid, strike, curve, spikes = GridSpec(8_760, 1.0), -1e6, TestStripPricing.CURVE, TestStripPricing.SPIKES
+    times = grid.times()[1:]
+    pays = pricer(MARKET_TF, curve, (None, spikes), grid, times, (strike,), seed, sims=1_024)
+    plain, spiky = (pay[:, 0] + strike * times.size for pay in pays)
+    targets = curve(times).sum(), sum(forward_spike_arith(0.0, spikes, 0.0, t) for t in times.tolist())
+    for sums, target in zip((plain, spiky - plain), targets):
+        assert abs(sums.mean() - target) <= 4 * sums.std(ddof=1) / math.sqrt(sums.size)
 
 
 class TestBoundedMemory:

@@ -17,9 +17,7 @@ from spikelab.model import Empirical, ExpOU, Flat, GridSpec, ModelSpec, SignedEx
 from spikelab.model import TwoFactorDynamics
 from spikelab.pricing import ForwardCurve, TwoFactorParams
 from spikelab.simulate import (
-    JumpRecord,
     child_seed,
-    interval_index,
     make_rng,
     observed_rows,
     simulate_exp_ou,
@@ -46,8 +44,8 @@ class TestSpikes:
     def test_single_jump_decays_exactly(self):
         grid = GridSpec(10, 1.0)
         tau, size, beta = 0.25, 2.0, 3.0
-        z = spike_values_batch([(np.array([tau]), np.array([size]))], grid, beta)[0]
-        i = interval_index(tau, grid)
+        z = spike_values_batch([np.array([[tau, size]])], grid, beta)[0]
+        i = grid.interval_index(tau)
         assert i == 3
         assert z[2] == 0.0
         assert z[3] == size * np.exp(-beta * (3 * grid.mesh - tau))
@@ -59,7 +57,7 @@ class TestSpikes:
         params = SpikeParams(10.0, 200.0, STUDY_LAW)
         path, truth = simulate_spikes(params, grid, make_rng(5))
         decay = np.exp(-params.reversion * grid.mesh)
-        jump_intervals = {interval_index(rec.time, grid) for rec in truth}
+        jump_intervals = set(grid.interval_index(truth[:, 0]).tolist())
         for i in range(1, grid.n + 1):
             if i not in jump_intervals:
                 assert path.values[i] == path.values[i - 1] * decay  # bitwise
@@ -68,8 +66,7 @@ class TestSpikes:
         grid = GridSpec(5_000, 1.0)
         params = SpikeParams(25.0, 500.0, STUDY_LAW)
         path, truth = simulate_spikes(params, grid, make_rng(17))
-        jumps = (np.array([rec.time for rec in truth]), np.array([rec.size for rec in truth]))
-        again = spike_values_batch([jumps], grid, params.reversion)[0]
+        again = spike_values_batch([truth], grid, params.reversion)[0]
         assert np.array_equal(path.values, again)
 
     def test_jump_count_is_poissonian(self):
@@ -83,7 +80,7 @@ class TestSpikes:
 
 
 def shares_an_interval(times, grid):
-    idx = interval_index(np.asarray(times, dtype=float), grid)
+    idx = grid.interval_index(np.asarray(times, dtype=float))
     return bool(np.any(np.diff(idx) == 0))
 
 
@@ -122,12 +119,11 @@ class TestSpikeBatch:
         for row, (path, truth) in zip(batch, singles):
             # a single path is row 0 of a batch of one, so the rows agree exactly
             assert np.array_equal(row, path.values)
-            times = np.array([rec.time for rec in truth])
-            sizes = np.array([rec.size for rec in truth])
+            times, sizes = truth.T
             reference = spike_values_from_jumps(truth, grid, params.reversion)
             assert agrees_with_reference(row, reference, times, sizes, grid)
         if params.intensity > 100:
-            assert any(shares_an_interval([rec.time for rec in truth], grid) for _, truth in singles)
+            assert any(shares_an_interval(truth[:, 0], grid) for _, truth in singles)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -150,15 +146,11 @@ class TestSpikeBatch:
             st.lists(st.lists(st.tuples(jump_time, size), max_size=8), min_size=1, max_size=4),
             label="paths",
         )
-        jumps = []
-        for path in paths:
-            path = sorted(path)
-            jumps.append((np.array([t for t, _ in path]), np.array([x for _, x in path])))
+        jumps = [np.array(sorted(path), dtype=float).reshape(-1, 2) for path in paths]
         batch = spike_values_batch(jumps, grid, reversion)
-        for row, (times, sizes) in zip(batch, jumps):
-            truth = [JumpRecord(t, x) for t, x in zip(times, sizes)]
+        for row, truth in zip(batch, jumps):
             reference = spike_values_from_jumps(truth, grid, reversion)
-            assert agrees_with_reference(row, reference, times, sizes, grid)
+            assert agrees_with_reference(row, reference, *truth.T, grid)
 
 
 def direct_sum_bound(grid, sizes):
@@ -186,7 +178,7 @@ def direct_sum_case(draw):
     jump_time = st.one_of(on_grid, near_grid, anywhere, crowded, crowded).filter(lambda t: 0.0 < t <= last)
     size = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e-3, 1e-3)).filter(lambda x: x != 0.0)
     paths = draw(st.lists(st.lists(st.tuples(jump_time, size), max_size=8), min_size=1, max_size=4), label="paths")
-    jumps = [(np.array([t for t, _ in p], dtype=float), np.array([x for _, x in p], dtype=float)) for p in map(sorted, paths)]
+    jumps = [np.array(sorted(path), dtype=float).reshape(-1, 2) for path in paths]
     return grid, reversion, jumps
 
 
@@ -196,7 +188,7 @@ class TestSpikeDirectSum:
     def test_rows_equal_the_direct_sum(self, case):
         grid, reversion, jumps = case
         batch = spike_values_batch(jumps, grid, reversion)
-        for row, (times, sizes) in zip(batch, jumps):
+        for row, (times, sizes) in zip(batch, (truth.T for truth in jumps)):
             direct = spike_values_direct_sum(times, sizes, grid, reversion)
             assert np.abs(row - direct).max() <= direct_sum_bound(grid, sizes)
 
@@ -204,7 +196,7 @@ class TestSpikeDirectSum:
         # a jump counted one step early is off by far more than the bound
         grid = GridSpec(10, 1.0)
         times, sizes = np.array([0.3]), np.array([1.0])
-        row = spike_values_batch([(times, sizes)], grid, 2.0)[0]
+        row = spike_values_batch([np.column_stack((times, sizes))], grid, 2.0)[0]
         early = spike_values_direct_sum(times - grid.mesh, sizes, grid, 2.0)
         assert np.abs(row - early).max() > 1e6 * direct_sum_bound(grid, sizes)
 
@@ -362,7 +354,7 @@ class TestSpot:
         a = simulate_spot(model, grid, make_rng(child_seed(99, 0)))
         b = simulate_spot(model, grid, make_rng(child_seed(99, 0)))
         assert np.array_equal(a.observed.values, b.observed.values)
-        assert a.truth == b.truth
+        assert np.array_equal(a.truth, b.truth)
 
 
 MARKET_TF = TwoFactorParams(alpha=12.56, sigma_s=1.03, sigma_l=0.25, rho=-0.11)
@@ -415,7 +407,7 @@ class TestObservedRows:
     def test_chunk_edges_and_jumpless_paths(self, leg):
         grid, width = GridSpec(30, 1.0), 4
         rows, singles = self.rows_and_singles(leg, grid, 2.0, 21, 12, width, 3)
-        columns = [interval_index(np.array([rec.time for rec in s.truth]), grid) for s in singles]
+        columns = [grid.interval_index(s.truth[:, 0]) for s in singles]
         # jumps on the first and on the last column of some chunk, and paths with no jump
         assert any((cols % width == 0).any() for cols in columns)
         assert any((cols % width == width - 1).any() for cols in columns)
@@ -514,11 +506,10 @@ class TestChunkLength:
         params = SpikeParams(300.0, 50.0, STUDY_LAW)  # about 3 jumps per interval
         rng = make_rng(4)
         truths = [simulate_spikes(params, grid, rng)[1] for _ in range(5)]
-        jumps = [(np.array([r.time for r in truth]), np.array([r.size for r in truth])) for truth in truths]
         values = []
         for length in self.LENGTHS:
             monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 5 * length)
-            values.append(spike_values_batch(jumps, grid, params.reversion))
+            values.append(spike_values_batch(truths, grid, params.reversion))
         assert all(other.tobytes() == values[0].tobytes() for other in values[1:])
 
     def test_long_factor_follows_the_time_major_stream(self):
@@ -634,12 +625,12 @@ class TestIntervalIndex:
     @pytest.mark.parametrize("tau,expected", CASES)
     def test_boundaries(self, tau, expected):
         grid = GridSpec(10, 1.0)
-        assert interval_index(tau, grid) == expected
+        assert grid.interval_index(tau) == expected
 
     def test_elementwise_on_arrays(self):
         grid = GridSpec(10, 1.0)
         taus, expected = zip(*self.CASES)
-        assert interval_index(np.array(taus), grid).tolist() == list(expected)
+        assert grid.interval_index(np.array(taus)).tolist() == list(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 10**6), horizon=st.floats(1e-3, 1e3), data=st.data())
@@ -655,17 +646,17 @@ class TestIntervalIndex:
             else:
                 near = range(max(i - 1, 1), min(i + 2, n) + 1)
                 (expected,) = [k for k in near if (k - 1) * mesh < time <= k * mesh]
-            assert interval_index(float(time), grid) == expected
-            assert interval_index(np.array([time]), grid).tolist() == [expected]
+            assert grid.interval_index(float(time)) == expected
+            assert grid.interval_index(np.array([time])).tolist() == [expected]
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 1_000), below=st.floats(-1e300, 0.0), above=st.floats(2.0, 1e300))
     def test_times_outside_the_grid_clamp(self, n, below, above):
         grid = GridSpec(n, 1.0)
-        assert interval_index(below, grid) == 1
-        assert interval_index(np.array([below, above]), grid).tolist() == [1, n]
+        assert grid.interval_index(below) == 1
+        assert grid.interval_index(np.array([below, above])).tolist() == [1, n]
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, tau):
         with pytest.raises(ValueError, match="finite"):
-            interval_index(np.array([0.5, tau]), GridSpec(10, 1.0))
+            GridSpec(10, 1.0).interval_index(np.array([0.5, tau]))

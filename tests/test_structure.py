@@ -2,7 +2,9 @@
 
 The modules under ``src/spikelab`` are parsed with ``ast``: ``model`` is the
 base every other module builds on and imports none of them, ``ingest`` builds
-on ``model`` alone, ``simulate`` does not reach up into ``pricing``, and no
+on ``model`` alone, ``estimate`` on ``detect`` and ``model`` alone (it reads
+a path's true jumps as an array, not through the simulator), ``simulate``
+does not reach up into ``pricing``, and no
 import runs inside a function (a lazy import is how an import cycle gets
 hidden), and no module imports a ``_``-prefixed name from a sibling (a
 private name shared across modules belongs in one of them, behind a public
@@ -77,6 +79,16 @@ def test_ingest_builds_on_model_only():
 def test_cli_exposes_ingest_names(name):
     # benchmarks/spans.py wraps cli.load_spot_csv, and callers import these from cli
     assert name in cli.__all__ and name in vars(cli)
+
+
+def test_estimate_builds_on_detect_and_model_only():
+    assert sibling_imports(MODULES["estimate"]) == {"detect", "model"}
+
+
+def test_an_estimate_import_of_simulate_is_seen():
+    # the guard above fails on an estimate module that imports from the simulator again
+    tree = ast.parse(ast.unparse(MODULES["estimate"]) + "\nfrom .simulate import make_rng")
+    assert sibling_imports(tree) == {"detect", "model", "simulate"}
 
 
 def test_simulate_does_not_import_pricing():
