@@ -21,8 +21,8 @@ With detected jump indices I(1) < ... < I(K) on a grid of mesh D:
 * jump moments: m beta D / ((1 - exp(-m beta D)) K) * sum_q (D_{I(q)} X)^m
   corrects the within-interval decay bias of the raw detected increments.
 
-An oracle variant of the reversion estimator consumes the true jump times
-and sizes; it is a testing benchmark, not a feasible estimator.
+The oracle is this slope statistic fed the true jumps, on the eligible ones
+(last in their interval, with no jump in the next); a testing benchmark.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .detect import DetectionReport
-from .model import GridSpec, SampledPath, sign
+from .model import GridSpec, SampledPath, ci95, sign
 
 __all__ = [
     "EstimateFlags",
@@ -101,86 +101,61 @@ class SpikeEstimates:
 def estimate_lambda(report: DetectionReport, grid: GridSpec) -> Tuple[float, Tuple[float, float]]:
     """Jump intensity per unit time with a 95% confidence interval.
 
-    Normal approximation lambda_hat +- 1.96 sqrt(lambda_hat / horizon),
-    clamped below at zero; for a zero count the upper bound is the exact
-    Poisson one.
+    The normal interval ``ci95`` around lambda_hat with standard error
+    sqrt(lambda_hat / horizon), clamped below at zero; for a zero count the
+    upper bound is the exact Poisson one.
     """
     horizon = grid.horizon
     lam = report.count / horizon
     if report.count == 0:
         return 0.0, (0.0, _POISSON_ZERO_UPPER / horizon)
-    half = 1.96 * math.sqrt(lam / horizon)
-    return lam, (max(lam - half, 0.0), lam + half)
+    lo, hi = ci95(lam, math.sqrt(lam / horizon))
+    return lam, (max(lo, 0.0), hi)
 
 
-def _invert_slope(num: float, den: float, mesh: float) -> Tuple[float, float, bool]:
-    """Map the slope ratio num/den to (beta_hat, slope_hat, floored)."""
-    ratio = num / den
+def _reversion(signs: np.ndarray, succ: np.ndarray, prev_sum: np.ndarray, den: float, mesh: float, drops: int) -> BetaEstimate:
+    """Invert ratio = sum(signs (succ + 2 mesh prev_sum)) / den to beta_hat = -log(max(1 + ratio, mesh)) / mesh.
+
+    Undefined when ``den`` is 0, as it is with no jumps; flagged when the floor binds.
+    """
+    if den == 0.0:
+        return BetaEstimate(0.0, 0.0, EstimateFlags(undefined=True, boundary_drops=drops))
+    ratio = float(np.sum(signs * (succ + 2.0 * mesh * prev_sum))) / den
     arg = 1.0 + ratio
-    floored = arg < mesh
     beta = -math.log(max(arg, mesh)) / mesh
-    return beta, -ratio, floored
+    return BetaEstimate(beta, -ratio, EstimateFlags(floored=arg < mesh, boundary_drops=drops))
 
 
 def estimate_beta(path: SampledPath, report: DetectionReport) -> BetaEstimate:
     """Feasible reversion-speed estimator from the report's increments; the path gives their successors."""
-    n, mesh = path.grid.n, path.grid.mesh
-    if report.count == 0:
-        return BetaEstimate(0.0, 0.0, EstimateFlags(undefined=True))
-    incr = path.increments()
     idx = np.asarray(report.indices, dtype=int)
     detected = report.increments
-    signs = sign(detected)
-    succ = incr.take(idx, mode="wrap")  # an index at n (no successor) reads a value zeroed below
-    no_succ = idx >= n
+    succ = path.increments().take(idx, mode="wrap")  # an index at n (no successor) reads a value zeroed below
+    no_succ = idx >= path.grid.n
     succ[no_succ] = 0.0
-    drops = int(np.count_nonzero(no_succ))
     prev_sum = np.zeros(idx.size)
     np.cumsum(detected[:-1], out=prev_sum[1:])
-    num = float(np.sum(signs * (succ + 2.0 * mesh * prev_sum)))
     den = float(np.sum(np.abs(detected)))
-    beta, slope, floored = _invert_slope(num, den, mesh)
-    return BetaEstimate(beta, slope, EstimateFlags(floored=floored, boundary_drops=drops))
+    return _reversion(sign(detected), succ, prev_sum, den, path.grid.mesh, int(np.count_nonzero(no_succ)))
 
 
 def oracle_estimate_beta(path: SampledPath, truth: np.ndarray) -> BetaEstimate:
-    """Reversion estimator fed the true jumps, a (k, 2) array of (time, size) rows.
+    """The feasible slope statistic fed the true jumps, a (k, 2) array of (time, size) rows.
 
-    Restricts to jumps q whose successor interval contains no jump and that
-    are last in their own interval; the correction sum uses the true sizes of
-    all earlier jumps.  Used to benchmark the feasible estimator on the
-    exact-detection event.
+    It sums over the jumps that are last in their interval and have none in
+    the next, signed by their true sizes; each prior sum runs over every
+    earlier jump.  Benchmarks the feasible estimator on the exact-detection event.
     """
-    if len(truth) == 0:
-        return BetaEstimate(0.0, 0.0, EstimateFlags(undefined=True))
-    n, mesh = path.grid.n, path.grid.mesh
+    n = path.grid.n
     incr = path.increments()
-    times, sizes = truth.T
-    order = np.argsort(times, kind="stable")
-    times, sizes = times[order], sizes[order]
+    times, sizes = truth[np.argsort(truth[:, 0], kind="stable")].T
     idx = path.grid.interval_index(times)
-    occupied = set(idx.tolist())
-
-    num = 0.0
-    den = 0.0
-    any_eligible = False
-    prev_sizes = 0.0
-    for q in range(len(times)):
-        eligible = (
-            idx[q] < n
-            and (idx[q] + 1) not in occupied
-            and (q == len(times) - 1 or idx[q] < idx[q + 1])
-        )
-        if eligible:
-            any_eligible = True
-            s = sign(sizes[q])
-            num += s * (incr[idx[q]] + 2.0 * mesh * prev_sizes)
-            den += s * incr[idx[q] - 1]
-        prev_sizes += sizes[q]
-    if not any_eligible or den == 0.0:
-        return BetaEstimate(0.0, 0.0, EstimateFlags(undefined=True))
-    beta, slope, floored = _invert_slope(num, den, mesh)
-    return BetaEstimate(beta, slope, EstimateFlags(floored=floored))
+    prev_sum = np.zeros(idx.size)
+    np.cumsum(sizes[:-1], out=prev_sum[1:])
+    eligible = (idx < n) & ~np.isin(idx + 1, idx) & (np.diff(idx, append=n + 1) > 0)
+    at, signs = idx[eligible], sign(sizes[eligible])
+    den = float(np.sum(signs * incr[at - 1]))
+    return _reversion(signs, incr[at], prev_sum[eligible], den, path.grid.mesh, 0)
 
 
 def estimate_jump_moments(

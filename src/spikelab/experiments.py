@@ -26,9 +26,9 @@ import numpy as np
 
 from .detect import MODES, DetectionConfig, detect_jumps, multipower_variation
 from .estimate import estimate_beta, estimate_lambda
-from .model import ContinuousSpec, ForwardCurve, GridSpec, JumpLaw, ModelSpec, SpikeParams
+from .model import ContinuousSpec, ForwardCurve, GridSpec, JumpLaw, ModelSpec, SpikeParams, ci95
 from .model import TwoFactorParams
-from .pricing import PriceWithCI, ci95, price_from_payoffs, strip_payoffs
+from .pricing import PriceWithCI, price_from_payoffs, strip_payoffs
 
 # not called here since every strike is priced from one ensemble and the
 # estimation study simulates blocks of paths; benchmarks/spans.py still looks

@@ -258,13 +258,13 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
         raise IngestError(f"{path}: non-finite timestamp {text(bad[0])!r} at row {bad[0] + 1}")
 
     if rules.dedup_policy == DEDUP_REJECT:
-        bad = np.flatnonzero(np.diff(times) <= 0)
+        bad = np.flatnonzero(times[1:] <= times[:-1])
         if bad.size:
             raise IngestError(f"{path}: non-monotone timestamp at {where(bad[0] + 1)}")
         dropped = 0
     else:
         order = np.argsort(times, kind="stable")
-        keep = np.concatenate([[True], np.diff(times[order]) > 0])
+        keep = np.concatenate([[True], times[order[1:]] > times[order[:-1]]])
         rows = order[keep]
         times, prices = times[rows], prices[rows]
         dropped = rows_read - rows.size
@@ -274,8 +274,8 @@ def load_spot_csv(path: str, rules: IngestRules) -> Tuple[SampledPath, IngestRep
     if bad.size:
         raise IngestError(f"{path}: non-finite price {float(prices[bad[0]])!r} at {where(bad[0])}")
 
-    diffs = np.diff(times)
-    with np.errstate(all="ignore"):  # a spacing no finite multiple of the step gives inf or nan: irregular
+    with np.errstate(all="ignore"):  # a spacing past the float range or no finite multiple of the step: irregular
+        diffs = np.diff(times)
         step = rules.expected_step if rules.expected_step is not None else _infer_step(diffs)
         ratio = diffs / step
         k = np.rint(ratio)

@@ -12,8 +12,9 @@ moment.  All rates are per unit of normalized time (the horizon maps to 1).
 This module holds the jump-size laws (sampling, polynomial and exponential
 moments, the exponential-moment integral of the log-model forward), the
 observation grid, the spike parameters and the three continuous legs (exp-OU,
-flat, two-factor forward dynamics with their initial curve).  It imports no
-other module of the package.
+flat, two-factor forward dynamics with their initial curve), and ``ci95``, the
+normal 95% interval rule of every estimate and price.  It imports no other
+module of the package.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "TwoFactorDynamics",
     "ContinuousSpec",
     "ModelSpec",
+    "ci95",
     "finite",
     "positive",
     "sign",
@@ -48,6 +50,12 @@ __all__ = [
 
 # largest exponent whose exp is a finite float
 LOG_MAX = float(np.log(np.finfo(float).max))
+
+
+def ci95(centre: float, stderr: float) -> Tuple[float, float]:
+    """Normal 95% confidence interval centre -/+ 1.96 stderr."""
+    half = 1.96 * stderr
+    return (centre - half, centre + half)
 
 
 def finite(name: str, value: float) -> float:
@@ -104,7 +112,7 @@ class GridSpec:
         return int(i) if i.ndim == 0 else i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledPath:
     """Values of a process on a GridSpec: (n + 1) observations X_0 .. X_T, held read-only.
 
@@ -134,7 +142,12 @@ class SampledPath:
 
     @functools.cached_property
     def _increments(self) -> np.ndarray:
-        incr = np.diff(self.values)
+        try:
+            with np.errstate(over="raise"):
+                incr = np.diff(self.values)
+        except FloatingPointError:
+            low, high = self.values.min(), self.values.max()
+            raise ValueError(f"values from {low:.6g} to {high:.6g} make the increments overflow a float") from None
         incr.flags.writeable = False
         return incr
 

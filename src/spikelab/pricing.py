@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import LOG_MAX, ForwardCurve, GridSpec, SpikeParams, TwoFactorParams, finite, positive
+from .model import LOG_MAX, ForwardCurve, GridSpec, SpikeParams, TwoFactorParams, ci95, finite, positive
 from .simulate import spot_chunks
 
 # defined in model; benchmarks/workloads.py still imports it from here
@@ -60,7 +60,6 @@ __all__ = [
     "two_factor_forward",
     "strip_payoffs",
     "price_from_payoffs",
-    "ci95",
     "price_strip_mc",
 ]
 
@@ -200,7 +199,7 @@ def strip_payoffs(
     bad = ~np.isfinite(times)
     if bad.any():
         raise ValueError(f"exercise times must be finite, got {times[bad][0]}")
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+    if times.ndim != 1 or times.size == 0 or np.any(times[1:] <= times[:-1]):
         raise ValueError("exercise times must be a nonempty increasing sequence")
     if times[0] <= 0:
         raise ValueError("exercise times must be positive")
@@ -267,12 +266,6 @@ def price_from_payoffs(units: np.ndarray, num_sims: int) -> PriceWithCI:
     if not (math.isfinite(estimate) and math.isfinite(stderr)):
         raise ValueError(f"payoffs up to {np.abs(units).max():.6g} make the price or its variance overflow a float")
     return PriceWithCI(estimate=estimate, ci95=ci95(estimate, stderr), num_sims=num_sims, stderr=stderr)
-
-
-def ci95(centre: float, stderr: float) -> Tuple[float, float]:
-    """Normal 95% confidence interval centre -/+ 1.96 stderr."""
-    half = 1.96 * stderr
-    return (centre - half, centre + half)
 
 
 def price_strip_mc(

@@ -86,7 +86,7 @@ def child_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulatedPath:
     """Simulated decomposition X = Xc + Z with the exact jumps.
 

@@ -9,7 +9,8 @@ faster ones must match bit for bit, and the per-step loop is the oracle for
 the batched spike filter.  ``factor_states`` gives the whole-grid Gaussian
 factors that the statistical tests of the two-factor model check.
 ``lfilter_recursion`` is the scipy form of the package's first-order
-recursion, which must match it bit for bit.
+recursion, which must match it bit for bit.  ``oracle_slope_terms`` is the
+per-jump loop the reversion oracle's array code must agree with.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from spikelab.detect import DegeneratePathError, gaussian_abs_moment
-from spikelab.model import GridSpec, JumpLaw, SignedExponentialMixture, SpikeParams, TwoFactorParams
+from spikelab.model import GridSpec, JumpLaw, SignedExponentialMixture, SpikeParams, TwoFactorParams, sign
 from spikelab.simulate import _factor_chunks
 
 
@@ -198,3 +199,29 @@ def strip_payoffs_time_ordered(spot: np.ndarray, cols, strikes) -> np.ndarray:
             acc += np.maximum(spot[:, t] - strike, 0.0)
         pay[:, k] = acc
     return pay
+
+
+def oracle_slope_terms(path, truth: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The oracle slope ratio's numerator and denominator terms, one per eligible true jump, by a per-jump loop.
+
+    Jump q of the time-sorted (time, size) rows is eligible when its interval
+    I(q) is before n, it is the last jump in I(q) and no jump lies in I(q) + 1.
+    Its terms are sgn(J_q) (D_{I(q)+1} X + 2 D sum_{j<q} J_j) and sgn(J_q)
+    D_{I(q)} X, the prior sum running over every earlier jump, eligible or not.
+    """
+    n, mesh = path.grid.n, path.grid.mesh
+    incr = path.increments()
+    times, sizes = truth.T
+    order = np.argsort(times, kind="stable")
+    times, sizes = times[order], sizes[order]
+    idx = path.grid.interval_index(times)
+    occupied = set(idx.tolist())
+    num, den = [], []
+    prev_sizes = 0.0
+    for q in range(len(times)):
+        if idx[q] < n and (idx[q] + 1) not in occupied and (q == len(times) - 1 or idx[q] < idx[q + 1]):
+            s = sign(sizes[q])
+            num.append(s * (incr[idx[q]] + 2.0 * mesh * prev_sizes))
+            den.append(s * incr[idx[q] - 1])
+        prev_sizes += sizes[q]
+    return np.array(num), np.array(den)

@@ -73,6 +73,14 @@ def two_factor_config(tmp_path):
     return str(path)
 
 
+# inputs whose differences overflow a float, for the rows of test_bad_input_fails_in_one_line
+SPREAD_FILES = {
+    "spread.csv": "t,p\n" + "".join(f"{i},{(-1) ** i * 1.7e308!r}\n" for i in range(40)),
+    "stamps.csv": "t,p\n-1e308,1\n1e308,2\n1.7e308,3\n1.75e308,4\n",
+    "far.txt": "-1e308\n1e308\n",
+}
+
+
 def write_csv(tmp_path, rows, header="t,price"):
     path = tmp_path / "data.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
@@ -609,10 +617,48 @@ class TestDispatch:
                 "jump sizes up to 1e+308 with reversion 0.001 make the spike process overflow a float",
                 id="strip-spike-process-overflows",
             ),
+            pytest.param(
+                MODEL_CFG,
+                ["estimate", "--in", "{tmp}/spread.csv"],
+                "values from -1.7e+308 to 1.7e+308 make the increments overflow a float",
+                id="price-increments-overflow",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["detect", "--in", "{tmp}/spread.csv"],
+                "values from -1.7e+308 to 1.7e+308 make the increments overflow a float",
+                id="detect-price-increments-overflow",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["estimate", "--in", "{tmp}/stamps.csv"],
+                "stamps.csv: irregular spacing inf after row 1 (t=-1e+308); expected multiples of 6.999999999999999e+307",
+                id="timestamp-spacing-overflows",
+            ),
+            pytest.param(
+                MODEL_CFG,
+                ["detect", "--in", "{tmp}/stamps.csv", "--dedup-policy", "keep-first"],
+                "stamps.csv: irregular spacing inf after row 1 (t=-1e+308); expected multiples of 6.999999999999999e+307",
+                id="sorted-timestamp-spacing-overflows",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG,
+                ["price-strip", "--config", "{cfg}", "--strike", "40", "--sims", "8", "--exercises", "csv:{tmp}/far.txt"],
+                "exercise times must be positive",
+                id="exercise-spacing-overflows",
+            ),
+            pytest.param(
+                TWO_FACTOR_CFG,
+                ["study-pricing", "--config", "{cfg}", "--sims", "8", "--out", "{tmp}/out", "--exercises", "csv:{tmp}/far.txt"],
+                "exercise times must be positive",
+                id="study-exercise-spacing-overflows",
+            ),
         ],
     )
     def test_bad_input_fails_in_one_line(self, tmp_path, capsys, config_text, argv, message):
         (tmp_path / "model.cfg").write_text(config_text)
+        for name, text in SPREAD_FILES.items():
+            (tmp_path / name).write_text(text)
         files = {"cfg": tmp_path / "model.cfg", "csv": write_csv(tmp_path, [f"{t},{30.0 + t % 2}" for t in range(30)])}
         status = dispatch([arg.format(tmp=tmp_path, **files) for arg in argv])
         captured = capsys.readouterr()
@@ -981,7 +1027,10 @@ class TestTextOutput:
 # test; each text flag a value from the contract_inputs tables, which a new
 # text flag must join.  The config it reads has up to two keys of the table
 # set, each to a value from its parser's table, so a new key is covered too.
+# An input CSV is the simulated series or a small one built from the finite
+# boundary values.
 CONTRACT_FLOATS = ["0", "-1", "-0.0", "0.5", "3", "1e-310", "1e308", "-1e308", "inf", "-inf", "nan"]
+CONTRACT_FINITE = [float(v) for v in CONTRACT_FLOATS if np.isfinite(float(v))]
 CONTRACT_INTS = [0, -1, 1, 3, 2**31]
 # the draws stay small: few processes, paths, replications and grid steps
 CONTRACT_INT_CAPS = {"workers": 2, "sims": 256, "reps": 8, "grid.n": 2_000}
@@ -1044,6 +1093,26 @@ def contract_config(draw, base, text_values, out):
 
 
 @st.composite
+def contract_csv(draw, out):
+    """A CSV in ``out`` of 3-40 rows: stamps offset + i step, prices value times a pattern.
+
+    The pattern is constant, alternating in sign, or constant but for one row
+    of the opposite sign (an outlier that stays finite at every value).
+    """
+    rows = draw(st.integers(3, 40))
+    pattern = draw(st.sampled_from(["constant", "alternating", "outlier"]))
+    value, offset, step = (draw(st.sampled_from(CONTRACT_FINITE)) for _ in range(3))
+    scale = [(-1.0) ** i if pattern == "alternating" else 1.0 for i in range(rows)]
+    if pattern == "outlier":
+        scale[draw(st.integers(0, rows - 1))] = -1.0
+    note(f"csv: {rows} rows, offset {offset!r}, step {step!r}, value {value!r}, {pattern}")
+    path = os.path.join(out, "contract.csv")
+    with open(path, "w") as handle:
+        handle.write("t,X\n" + "".join(f"{offset + i * step!r},{value * scale[i]!r}\n" for i in range(rows)))
+    return path
+
+
+@st.composite
 def contract_argv(draw, text_values, out):
     """A subcommand's argv under --json: its required flags and up to two others, each value from its table."""
     subcommands = next(action for action in build_parser()._actions if action.dest == "command").choices
@@ -1070,6 +1139,8 @@ def contract_argv(draw, text_values, out):
         else:
             values = text_values[action.dest]
         value = draw(st.sampled_from(values))
+        if action.dest == "infile":
+            value = draw(st.one_of(st.just(value), contract_csv(out)))
         if action.dest == "config":
             value = draw(contract_config(value, text_values, out))
         argv.append(f"{flag}={value}")  # '=' keeps a value like -inf from reading as a flag

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikelab.detect import PLAIN, SIGN_FILTERED, DetectionConfig, DetectionReport, detect_jumps
 from spikelab.estimate import (
@@ -16,6 +18,7 @@ from spikelab.estimate import (
 )
 from spikelab.model import GridSpec, SampledPath
 
+from mc_oracles import oracle_slope_terms
 from test_detect import decay_spike_path
 
 
@@ -145,6 +148,47 @@ class TestOracle:
         incr = path.increments()
         expected_ratio = (incr[102] + 2 * mesh * 1.0) / incr[101]
         assert est.beta_hat == pytest.approx(-math.log(1 + expected_ratio) / mesh, rel=1e-12)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A path of 2-12 steps with whole-number values and up to 10 true (time, size) rows in drawn order.
+
+    With few intervals, jumps share an interval or sit in adjacent ones often.
+    """
+    n = draw(st.integers(2, 12))
+    values = draw(st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1))
+    interval = st.integers(1, n)
+    offset = st.floats(0.0, 1.0, exclude_max=True)  # 0 puts the jump on the grid point t_i
+    rows = draw(st.lists(st.tuples(interval, offset, st.floats(-1e3, 1e3)), max_size=10))
+    return n, values, [((i - u) / n, size) for i, u, size in rows]
+
+
+class TestOracleAgainstLoop:
+    # whole-number path values make every denominator sum exact in any order, so
+    # `undefined` is a property of the eligible set and must agree exactly
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=oracle_cases())
+    @example(case=(4, [0, 3, 1, -2, 5], [(0.3, 2.0), (0.4, -1.0)]))  # two jumps in one interval
+    @example(case=(4, [0, 3, 1, -2, 5], [(0.2, 1.5), (0.3, -2.5)]))  # adjacent intervals
+    @example(case=(4, [0, 3, 1, -2, 5], [(0.1, 1.0), (1.0, 2.0)]))  # a jump in interval n
+    @example(case=(4, [0, 3, 1, -2, 5], []))  # no jumps
+    @example(case=(6, [0, 3, 1, -2, 5, 4, 9], [(0.8, 1.0), (0.1, -2.0), (0.55, 3.0)]))  # rows out of time order
+    def test_array_oracle_equals_the_per_jump_loop(self, case):
+        n, values, rows = case
+        path = SampledPath(GridSpec(n, 1.0), np.array(values, dtype=float))
+        truth = np.array(rows, dtype=float).reshape(-1, 2)
+        est = oracle_estimate_beta(path, truth)
+        num, den = oracle_slope_terms(path, truth)
+        assert est.flags.undefined == (den.size == 0 or math.fsum(den) == 0.0)
+        if est.flags.undefined:
+            assert (est.beta_hat, est.slope_hat) == (0.0, 0.0)
+            return
+        slope = -math.fsum(num) / math.fsum(den)
+        # the array sum of k numerator terms is within (k - 1) u sum|terms| of the exact one, the
+        # denominator is exact, and each division rounds by u: twice that first-order bound
+        tol = np.finfo(float).eps * (den.size * np.abs(num).sum() / abs(math.fsum(den)) + abs(slope))
+        assert abs(est.slope_hat - slope) <= tol
 
 
 class TestEnsembles:

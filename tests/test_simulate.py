@@ -14,9 +14,10 @@ from hypothesis.extra import numpy as hnp
 
 from spikelab import simulate
 from spikelab.model import Empirical, ExpOU, Flat, GridSpec, ModelSpec, SignedExponentialMixture, SpikeParams
-from spikelab.model import TwoFactorDynamics
+from spikelab.model import SampledPath, TwoFactorDynamics
 from spikelab.pricing import ForwardCurve, TwoFactorParams
 from spikelab.simulate import (
+    SimulatedPath,
     child_seed,
     make_rng,
     observed_rows,
@@ -310,6 +311,15 @@ class TestSpot:
         sim = simulate_spot(model, grid, make_rng(12))
         assert np.array_equal(sim.observed.values, sim.continuous.values + sim.spike.values)
         assert sim.spike.values[0] == 0.0
+
+    def test_paths_compare_by_identity(self):
+        # a path holds arrays, so == is identity (as for any object) and a path hashes
+        grid = GridSpec(4, 1.0)
+        path, twin = SampledPath(grid, np.arange(5.0)), SampledPath(grid, np.arange(5.0))
+        sim = SimulatedPath(path, path, path, np.empty((0, 2)))
+        for a, b in ((path, twin), (sim, SimulatedPath(path, path, path, np.empty((0, 2))))):
+            assert a == a and a != b
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
     def test_negligible_intensity_reduces_to_continuous(self):
         grid = GridSpec(500, 1.0)

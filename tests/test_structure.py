@@ -20,9 +20,11 @@ that moves or renames one fails here and not only under ``python -m pytest
 benchmarks``.  In ``cli`` only ``_json`` writes JSON and only ``dispatch``
 prints, so no subcommand prints a record past the strict writer.  Every
 name in a module's ``__all__`` is defined in it, so a deleted name cannot
-stay exported.  The config key table and the key list of the ``config``
-module docstring name the same keys, so a key is added in the table and its
-documentation cannot drift from it.
+stay exported.  The normal 95% quantile 1.96 is written once, in
+``model.ci95``, so every normal interval follows one rule.  The config key
+table and the key list of the ``config`` module docstring name the same
+keys, so a key is added in the table and its documentation cannot drift
+from it.
 """
 
 import ast
@@ -165,6 +167,21 @@ def test_traced_layers_exist():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def interval_quantiles(tree: ast.Module) -> int:
+    """Literals 1.96 (the normal 95% quantile) in a module's code; docstrings and comments do not count."""
+    return sum(isinstance(node, ast.Constant) and node.value == 1.96 for node in ast.walk(tree))
+
+
+def test_the_normal_quantile_is_written_in_model_only():
+    # model.ci95 is the one interval rule; a second 1.96 is a second rule
+    assert {name: n for name, tree in MODULES.items() if (n := interval_quantiles(tree))} == {"model": 1}
+
+
+def test_interval_quantiles_are_seen():
+    tree = ast.parse('"""Interval: centre -/+ 1.96 stderr."""\nhalf = 1.96 * se  # 1.96\nz = 1.959964\nlo = c - 1.960 * se')
+    assert interval_quantiles(tree) == 2
 
 
 def isinstance_calls(tree: ast.Module) -> int:
