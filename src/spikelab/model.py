@@ -9,12 +9,12 @@ with jump times T_q arriving at Poisson intensity ``lambda`` and jump sizes
 J_q drawn i.i.d. from a law ``nu`` with no atom at zero and finite second
 moment.  All rates are per unit of normalized time (the horizon maps to 1).
 
-This module holds the jump-size laws (sampling, polynomial and exponential
-moments, the exponential-moment integral of the log-model forward), the
-observation grid, the spike parameters and the three continuous legs (exp-OU,
-flat, two-factor forward dynamics with their initial curve), and ``ci95``, the
-normal 95% interval rule of every estimate and price.  It imports no other
-module of the package.
+This module holds the jump-size laws (sampling, polynomial moments, the
+exponential-moment integral of the log-model forward), the observation grid,
+the spike parameters and the three continuous legs (exp-OU, flat, two-factor
+forward dynamics with their initial curve), and ``ci95``, the normal 95%
+interval rule of every estimate and price.  It imports no other module of the
+package.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import exp1
@@ -167,9 +167,6 @@ class JumpLaw:
     def moment(self, m: int = 1, kind: str = "signed") -> float:
         raise NotImplementedError
 
-    def exp_moment(self, u: float) -> float:
-        raise NotImplementedError
-
     def exp_moment_integral(self, eps: float) -> float:
         """int_eps^1 (phi(v) - 1) / v dv for 0 <= eps <= 1, phi the exponential moment.
 
@@ -287,18 +284,6 @@ class SignedExponentialMixture(JumpLaw):
             raise ValueError(f"unknown moment kind {kind!r}")
         return total
 
-    def exp_moment(self, u):
-        # E[exp(u * s * E)] = rate / (rate - s*u), finite iff s*u < rate.
-        total = 0.0
-        for i, (w, b, s) in enumerate(zip(self.weights, self.rates, self.signs)):
-            if s * u >= b:
-                raise ValueError(
-                    f"exponential moment diverges at u={u}: component {i} "
-                    f"(sign {s:+d}, rate {b}) requires u*sign < rate"
-                )
-            total += w * b / (b - s * u)
-        return total
-
     def exp_moment_integral(self, eps):
         # (phi(v) - 1) / v = sum_i w_i s_i / (b_i - s_i v), so the integral is
         # sum_i w_i ln((b_i - s_i eps) / (b_i - s_i))
@@ -339,16 +324,13 @@ class Empirical(JumpLaw):
             return float(np.mean(np.abs(self.samples) ** m))
         raise ValueError(f"unknown moment kind {kind!r}")
 
-    def exp_moment(self, u):
-        with np.errstate(over="ignore"):
-            vals = np.exp(u * self.samples)
-        if not np.all(np.isfinite(vals)):
-            size = self.samples[~np.isfinite(vals)][0]
-            raise ValueError(f"exponential moment overflows at u={u} for empirical law (size {size})")
-        return float(np.mean(vals))
-
     def exp_moment_integral(self, eps):
-        self.exp_moment(1.0)  # finite phi(1) keeps every Ein value finite
+        # phi(1) = mean(exp(x)) needs each exp(x) finite, which keeps every Ein value finite
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(np.exp(self.samples))
+        if overflows.any():
+            size = self.samples[overflows][0]
+            raise ValueError(f"exponential moment overflows at u=1.0 for empirical law (size {size})")
         return float(np.mean(_ein(self.samples, eps)))
 
 
@@ -470,19 +452,6 @@ class ForwardCurve:
     @classmethod
     def flat(cls, level: float, horizon: float = 1.0) -> "ForwardCurve":
         return cls(np.array([0.0, horizon]), np.array([float(level)]))
-
-    @classmethod
-    def from_segments(cls, segments: Sequence[Tuple[float, float, float]]) -> "ForwardCurve":
-        """Build from (start, end, price) delivery-period quotes; must tile."""
-        segs = sorted(segments)
-        bp = [segs[0][0]]
-        lv = []
-        for start, end, price in segs:
-            if start != bp[-1]:
-                raise ValueError(f"segments must tile without gaps; break at {start}")
-            bp.append(end)
-            lv.append(price)
-        return cls(np.asarray(bp), np.asarray(lv))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

@@ -57,7 +57,6 @@ __all__ = [
     "forward_spike_arith",
     "forward_spike_delivery",
     "forward_spike_log",
-    "two_factor_forward",
     "strip_payoffs",
     "price_from_payoffs",
     "price_strip_mc",
@@ -124,27 +123,6 @@ def forward_spike_log(z_now: float, params: SpikeParams, t: float, maturity: flo
             f"(jump law {type(law).__name__})"
         )
     return math.exp(exponent)
-
-
-def two_factor_forward(
-    params: TwoFactorParams,
-    curve: ForwardCurve,
-    t,
-    maturity: float,
-    w_long,
-    y_short,
-):
-    """Pathwise forward value f(t, T) of the continuous part.
-
-    f(t,T) = f(0,T) exp(-v_f(t,T)/2 + sigma_l W_t + sigma_s e^{-alpha (T-t)} Y_t),
-    with v_f the forward log-variance; a martingale in t for each fixed T.
-    """
-    t = np.asarray(t, dtype=float)
-    decay = np.exp(-params.alpha * (maturity - t))
-    var = params.forward_log_variance(t, maturity)
-    return curve(maturity) * np.exp(
-        -0.5 * var + params.sigma_l * np.asarray(w_long) + params.sigma_s * decay * np.asarray(y_short)
-    )
 
 
 def _exercise_columns(grid: GridSpec, times: np.ndarray) -> np.ndarray:

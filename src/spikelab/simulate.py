@@ -20,7 +20,7 @@ all lanes.  On a 2-vCPU host a float step costs 0.12-0.14 us a lane and a
 numpy step about 2 us at any width up to a few hundred lanes, so a single
 path pays about 0.13 us per step and leg (lfilter paid about 0.01 us), and
 ensembles should go through the batched entry points: ``observed_rows``,
-``simulate_two_factor``, ``spike_values_batch`` and the studies.
+``simulate_two_factor``, ``spot_chunks`` and the studies.
 
 ``observed_rows`` simulates X = Xc + Z for a sequence of generators, a block
 of paths at a time in one reused buffer of a row a path (8 MB, 104 paths at
@@ -32,9 +32,9 @@ grid in chunks of columns by ``spot_chunks``, which carries the factor state
 (W, Y) and the spike state Z from one chunk into the next, so a walk needs
 memory O(paths x chunk) at any grid length.  The chunks are built
 time-major, so the recursion runs across all paths of a step at once, and
-are handed out as (paths, columns) views.  ``simulate_two_factor`` and
-``spike_values_batch`` concatenate the same blocks, so each leg has one
-engine; a single path is row 0 of a batch of one.  No value depends on the
+are handed out as (paths, columns) views.  ``simulate_two_factor``
+concatenates the same blocks, and ``simulate_spikes`` is the spike leg of a
+batch of one, so each leg has one engine.  No value depends on the
 chunk length: the factor normals are drawn per step (the long-factor normals
 of every path, then the short-factor ones) and every running sum and
 recursion continues across chunk boundaries.  While a walk builds one chunk,
@@ -67,7 +67,6 @@ __all__ = [
     "make_rng",
     "child_seed",
     "simulate_spikes",
-    "spike_values_batch",
     "simulate_exp_ou",
     "simulate_spot",
     "observed_rows",
@@ -127,30 +126,12 @@ def simulate_spikes(
     The jump count is Poisson(intensity * horizon), arrival times are uniform
     order statistics on [0, horizon) and sizes are i.i.d. from the law; the
     jumps come back as the (k, 2) array of (time, size) rows.  Grid values
-    are computed without discretization error, as row 0 of
-    ``spike_values_batch``.
+    are computed without discretization error: the path is the one lane of
+    ``_spike_chunks`` run on these jumps, its blocks concatenated.
     """
     truth = _draw_jumps(params, grid, rng)
-    return SampledPath(grid, spike_values_batch([truth], grid, params.reversion)[0]), truth
-
-
-def spike_values_batch(jumps: Sequence[np.ndarray], grid: GridSpec, reversion: float) -> np.ndarray:
-    """Spike-process values of several paths at once, shape (len(jumps), n + 1).
-
-    Row p is built from jumps[p], a (k, 2) array of (arrival time, size) rows
-    in time order.  Every jump is placed in its interval at once and the
-    per-step decay runs as one first-order recursion down the grid, Z_{t_i} =
-    (new jumps decayed to t_i) + d * Z_{t_{i-1}}.  On a jumpless step the
-    recursion adds an exact 0.0, so Z_{t_i} == d * Z_{t_{i-1}} bit for bit.
-    The per-step loop form of this recursion is the test oracle: rows equal
-    it bit for bit except where two jumps share an interval, where the order
-    of the sums moves them a few ulps.  The values are the blocks of
-    ``spot_chunks``' spike leg, concatenated.
-    """
-    if not jumps:
-        raise ValueError("jumps must hold at least one path")
-    blocks = _spike_chunks(jumps, grid, reversion, _chunk_columns(len(jumps)))
-    return np.concatenate(list(blocks)).T
+    blocks = _spike_chunks([truth], grid, params.reversion, _chunk_columns(1))
+    return SampledPath(grid, np.concatenate([block[:, 0] for block in blocks])), truth
 
 
 # Entries (paths x columns) of one chunk of a walk: each block is 256 kB, so

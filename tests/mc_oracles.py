@@ -6,8 +6,10 @@ without going through the closed-form pricing code they are used to check;
 adaptive Simpson quadrature checks the closed-form integrals.  The strip
 payoff and multipower variation references are the plain forms the package's
 faster ones must match bit for bit, and the per-step loop is the oracle for
-the batched spike filter.  ``factor_states`` gives the whole-grid Gaussian
-factors that the statistical tests of the two-factor model check.
+the batched spike filter, whose whole-grid rows ``spike_values_batch`` gives.
+``factor_states`` gives the whole-grid Gaussian factors that the statistical
+tests of the two-factor model check, and ``two_factor_forward`` the pathwise
+forward they must keep a martingale.
 ``lfilter_recursion`` is the scipy form of the package's first-order
 recursion, which must match it bit for bit.  ``oracle_slope_terms`` is the
 per-jump loop the reversion oracle's array code must agree with.
@@ -20,8 +22,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from spikelab.detect import DegeneratePathError, gaussian_abs_moment
-from spikelab.model import GridSpec, JumpLaw, SignedExponentialMixture, SpikeParams, TwoFactorParams, sign
-from spikelab.simulate import _factor_chunks
+from spikelab.model import ForwardCurve, GridSpec, JumpLaw, SignedExponentialMixture, SpikeParams, TwoFactorParams, sign
+from spikelab.simulate import _chunk_columns, _factor_chunks, _spike_chunks
 
 
 def spike_terminal_samples(
@@ -80,6 +82,21 @@ def spike_values_from_jumps(truth: np.ndarray, grid: GridSpec, reversion: float)
     return z
 
 
+def spike_values_batch(jumps, grid: GridSpec, reversion: float) -> np.ndarray:
+    """Spike-process values of several paths at once, shape (len(jumps), n + 1): the package's spike leg.
+
+    Row p is built from jumps[p], a (k, 2) array of (arrival time, size) rows
+    in time order, by the blocks of ``simulate._spike_chunks`` concatenated:
+    every jump placed in its interval at once, then the per-step decay run as
+    one first-order recursion down the grid.  On a jumpless step the
+    recursion adds an exact 0.0, so Z_{t_i} == d * Z_{t_{i-1}} bit for bit.
+    Rows equal ``spike_values_from_jumps`` bit for bit except where two jumps
+    share an interval, where the order of the sums moves them a few ulps.
+    """
+    blocks = _spike_chunks(jumps, grid, reversion, _chunk_columns(len(jumps)))
+    return np.concatenate(list(blocks)).T
+
+
 def spike_values_direct_sum(times, sizes, grid: GridSpec, reversion: float) -> np.ndarray:
     """The paper's Z_{t_i} = sum_{T_q <= t_i} J_q exp(-beta (t_i - T_q)), every term from its own exp.
 
@@ -94,6 +111,20 @@ def factor_states(params: TwoFactorParams, grid: GridSpec, rng: np.random.Genera
     """(W_long, Y_short) on the whole grid, shape (paths, n + 1) each: the factor walk in one chunk."""
     ((wl, ys),) = _factor_chunks(params, grid, rng, paths, grid.n + 1)
     return wl.T, ys.T
+
+
+def two_factor_forward(params: TwoFactorParams, curve: ForwardCurve, t, maturity: float, w_long, y_short):
+    """Pathwise forward value f(t, T) of the continuous part, from the factor values at t.
+
+    f(t,T) = f(0,T) exp(-v_f(t,T)/2 + sigma_l W_t + sigma_s e^{-alpha (T-t)} Y_t),
+    with v_f the forward log-variance; a martingale in t for each fixed T.
+    """
+    t = np.asarray(t, dtype=float)
+    decay = np.exp(-params.alpha * (maturity - t))
+    var = params.forward_log_variance(t, maturity)
+    return curve(maturity) * np.exp(
+        -0.5 * var + params.sigma_l * np.asarray(w_long) + params.sigma_s * decay * np.asarray(y_short)
+    )
 
 
 def lfilter_recursion(block: np.ndarray, state: np.ndarray, coef: np.ndarray):

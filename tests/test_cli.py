@@ -618,6 +618,12 @@ class TestDispatch:
                 id="strip-spike-process-overflows",
             ),
             pytest.param(
+                TWO_FACTOR_CFG + "jump.kind = pointmass\njump.size = 800\n",
+                ["price-forward", "--config", "{cfg}", "--t", "0", "--T", "0.05", "--log-model"],
+                "exponential moment overflows at u=1.0 for empirical law (size 800.0)",
+                id="log-forward-exponential-moment-overflows",
+            ),
+            pytest.param(
                 MODEL_CFG,
                 ["estimate", "--in", "{tmp}/spread.csv"],
                 "values from -1.7e+308 to 1.7e+308 make the increments overflow a float",
@@ -1025,7 +1031,7 @@ class TestTextOutput:
 # argv for a subcommand takes every flag of its parser: each numeric flag one
 # of the boundary values below, so a new flag is covered without editing this
 # test; each text flag a value from the contract_inputs tables, which a new
-# text flag must join.  The config it reads has up to two keys of the table
+# text flag must join.  The config it reads has up to three keys of the table
 # set, each to a value from its parser's table, so a new key is covered too.
 # An input CSV is the simulated series or a small one built from the finite
 # boundary values.
@@ -1080,8 +1086,8 @@ def contract_inputs(tmp_path_factory):
 
 @st.composite
 def contract_config(draw, base, text_values, out):
-    """A copy of the config file ``base`` in ``out`` with up to two keys set, each value from its table."""
-    keys = draw(st.lists(st.sampled_from(sorted(config._KEYS)), max_size=2, unique=True))
+    """A copy of the config file ``base`` in ``out`` with up to three keys set, each value from its table."""
+    keys = draw(st.lists(st.sampled_from(sorted(config._KEYS)), max_size=3, unique=True))
     with open(base) as handle:
         lines = [line for line in handle if line.split("=")[0].strip() not in keys]
     lines += [f"{key} = {draw(st.sampled_from(contract_config_values(key, text_values)))}\n" for key in keys]

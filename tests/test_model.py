@@ -117,36 +117,6 @@ class TestParameterValidation:
         assert ExpOU(0.0, 2.0).reversion == 0.0
 
 
-class TestExpMoments:
-    @pytest.mark.parametrize(
-        "law", [MIX, Empirical([0.7]), Empirical(np.array([0.3, -0.2, 1.1]))]
-    )
-    def test_normalization_at_zero(self, law):
-        assert law.exp_moment(0.0) == pytest.approx(1.0)
-
-    def test_point_mass_exponential(self):
-        assert Empirical([2.0]).exp_moment(0.3) == pytest.approx(math.exp(0.6))
-
-    def test_mixture_hand_value(self):
-        # 0.4 * 15/16 + 0.6 * 10/9
-        assert MIX.exp_moment(1.0) == pytest.approx(0.4 * 15 / 16 + 0.6 * 10 / 9)
-
-    def test_divergence_names_component(self):
-        with pytest.raises(ValueError, match="rate 10"):
-            MIX.exp_moment(10.0)
-
-    @pytest.mark.parametrize(
-        "law", [MIX, Empirical([-1.5]), Empirical(np.array([0.5, -0.25, 2.0]))]
-    )
-    def test_convexity_on_strip(self, law):
-        us = np.linspace(-0.9, 0.9, 9)
-        vals = [law.exp_moment(u) for u in us]
-        mids = [law.exp_moment(0.5 * (a + b)) for a, b in zip(us[:-1], us[1:])]
-        for lo, hi, mid in zip(vals[:-1], vals[1:], mids):
-            assert mid <= 0.5 * (lo + hi) + 1e-12
-
-
-
 # jump sizes of either sign with |x| in [1e-4, 30], across the |x| = 5 switch
 # between the short series and the long series or E1 differences
 SIZES = st.builds(
@@ -215,6 +185,8 @@ class TestExpMomentIntegral:
             law.exp_moment_integral(0.2)
 
     def test_unrepresentable_moment_names_law(self):
+        with pytest.raises(ValueError, match=r"^exponential moment overflows at u=1\.0 for empirical law \(size 800\.0\)$"):
+            Empirical([800.0]).exp_moment_integral(0.5)
         with pytest.raises(ValueError, match=r"empirical law \(size 1000\.0\)"):
             Empirical([1000.0]).exp_moment_integral(0.5)
         with pytest.raises(ValueError, match="empirical"):

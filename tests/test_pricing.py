@@ -18,7 +18,6 @@ from spikelab.pricing import (
     forward_spike_log,
     price_strip_mc,
     strip_payoffs,
-    two_factor_forward,
     _add_payoffs,
 )
 from spikelab.simulate import make_rng
@@ -30,6 +29,7 @@ from mc_oracles import (
     mc_mean_with_se,
     spike_terminal_samples,
     strip_payoffs_time_ordered,
+    two_factor_forward,
 )
 
 MIX = SignedExponentialMixture((0.4, 0.6), (15.0, 10.0), (-1, 1))
@@ -203,14 +203,15 @@ class TestForwardCurve:
         assert np.all(curve(np.linspace(0, 1, 5)) == 42.0)
 
     def test_segments(self):
-        curve = ForwardCurve.from_segments([(0.0, 0.5, 30.0), (0.5, 1.0, 50.0)])
+        curve = ForwardCurve([0.0, 0.5, 1.0], [30.0, 50.0])
         assert curve(0.25) == 30.0
         assert curve(0.5) == 50.0
         assert curve(1.0) == 50.0
 
     def test_gap_rejected(self):
-        with pytest.raises(ValueError):
-            ForwardCurve.from_segments([(0.0, 0.4, 30.0), (0.5, 1.0, 50.0)])
+        # quotes on [0, 0.4) and [0.5, 1] leave [0.4, 0.5) without a level
+        with pytest.raises(ValueError, match="^need one level per segment$"):
+            ForwardCurve([0.0, 0.4, 0.5, 1.0], [30.0, 50.0])
 
     def test_domain_checked(self):
         curve = ForwardCurve.flat(42.0, horizon=1.0)

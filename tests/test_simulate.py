@@ -25,11 +25,10 @@ from spikelab.simulate import (
     simulate_spikes,
     simulate_spot,
     simulate_two_factor,
-    spike_values_batch,
     spot_chunks,
 )
 
-from mc_oracles import factor_states, lfilter_recursion, spike_values_direct_sum, spike_values_from_jumps
+from mc_oracles import factor_states, lfilter_recursion, spike_values_batch, spike_values_direct_sum, spike_values_from_jumps
 
 STUDY_LAW = SignedExponentialMixture((0.4, 0.6), (1 / 15, 1 / 10), (-1, 1))
 
@@ -542,10 +541,6 @@ class TestWalkInputs:
     def test_spot_chunks_rejects_zero_paths(self):
         with pytest.raises(ValueError, match="paths"):
             next(spot_chunks(MARKET_TF, ForwardCurve.flat(40.0), self.GRID, make_rng(1), 0))
-
-    def test_spike_batch_rejects_no_jumps(self):
-        with pytest.raises(ValueError, match="jumps"):
-            spike_values_batch([], self.GRID, 50.0)
 
     def test_spikes_without_jump_rng_rejected(self):
         walk = spot_chunks(MARKET_TF, ForwardCurve.flat(40.0), self.GRID, make_rng(1), 4, spikes=SpikeParams(10.0, 50.0, STUDY_LAW))

@@ -24,10 +24,15 @@ stay exported.  The normal 95% quantile 1.96 is written once, in
 ``model.ci95``, so every normal interval follows one rule.  The config key
 table and the key list of the ``config`` module docstring name the same
 keys, so a key is added in the table and its documentation cannot drift
-from it.
+from it.  Every public function or method defined in ``src`` is referenced by
+name outside its own definition and ``__all__``, in ``src``, in
+``benchmarks`` or in ``tests/test_acceptance.py``, so no public API lives only
+for the other tests; ``UNREFERENCED`` names each exception and its reason.
+The README's library sketch runs, so the docs cannot name a removed function.
 """
 
 import ast
+import collections
 import importlib.util
 import os
 import re
@@ -324,3 +329,87 @@ def test_documented_keys_are_seen():
     # a key dropped from the docstring breaks the guard's equality
     dropped = config.__doc__.replace("    cont.curve_level\n", "")
     assert set(config._KEYS) - documented_keys(dropped) == {"cont.curve_level"}
+
+
+# public functions that nothing in src, benchmarks or the acceptance suite references, each with its reason
+UNREFERENCED = {
+    "detect.regime": "ROADMAP items 9 and 17 decide whether the regime test stays",
+}
+# where a reference keeps a public function: the package, the benchmark and the acceptance criteria
+REFERENCING = [
+    *MODULES.values(),
+    *(ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "benchmarks").glob("*.py"))),
+    ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()),
+]
+
+
+def public_functions(modules: dict) -> dict:
+    """Each module-level function and method whose name has no leading ``_``, by ``module.qualname``."""
+    found = {}
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scope, defs = f"{name}.{node.name}.", node.body
+            else:
+                scope, defs = f"{name}.", [node]
+            found.update({scope + d.name: d for d in defs if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")})
+    return found
+
+
+def references(node: ast.AST) -> list:
+    """Names a tree refers to: a name, an attribute or a string (as a ``getattr`` key), outside ``__all__``."""
+    exported = {
+        id(item)
+        for assign in ast.walk(node)
+        if isinstance(assign, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in assign.targets)
+        for item in ast.walk(assign.value)
+    }
+    found = []
+    for item in ast.walk(node):
+        if isinstance(item, ast.Name):
+            found.append(item.id)
+        elif isinstance(item, ast.Attribute):
+            found.append(item.attr)
+        elif isinstance(item, ast.Constant) and isinstance(item.value, str) and id(item) not in exported:
+            found.append(item.value)
+    return found
+
+
+def unreferenced_functions(modules: dict, referencing: list) -> set:
+    """Public functions of ``modules`` that ``referencing`` names nowhere but in their own definitions."""
+    counts = collections.Counter(name for tree in referencing for name in references(tree))
+    return {
+        qualname
+        for qualname, func in public_functions(modules).items()
+        if counts[func.name] <= references(func).count(func.name)
+    }
+
+
+def test_every_public_function_is_referenced():
+    assert unreferenced_functions(MODULES, REFERENCING) == set(UNREFERENCED)
+
+
+def test_unreferenced_functions_are_seen():
+    module = ast.parse(
+        "__all__ = ['exported', 'looked_up']\n"
+        "def exported(): pass\n"
+        "def recursive(k): return recursive(k - 1)\n"
+        "def looked_up(): pass\n"
+        "def _private(): pass\n"
+        "class Law:\n"
+        "    def called(self): pass\n"
+        "    def unused(self): pass\n"
+        "from .other import exported\n"
+    )
+    caller = ast.parse("getattr(obj, 'looked_up')\nlaw.called()\n_private()")
+    assert unreferenced_functions({"stub": module}, [module, caller]) == {"stub.exported", "stub.recursive", "stub.Law.unused"}
+
+
+def readme_sketch() -> str:
+    """The code block of the README's "Library sketch" section."""
+    section = (ROOT / "README.md").read_text().split("## Library sketch", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_sketch_runs():
+    exec(compile(readme_sketch(), "README.md (Library sketch)", "exec"), {})
