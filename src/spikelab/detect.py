@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .model import GridSpec, SampledPath, positive
+from .model import GridSpec, SampledPath, integer, positive
 
 __all__ = [
     "PLAIN",
@@ -75,7 +75,7 @@ class DetectionConfig:
         positive("threshold constant", self.constant)
         if not (0 <= self.exponent < 0.5):
             raise ValueError(f"exponent must lie in [0, 1/2), got {self.exponent}")
-        if self.mpv_order < 2:
+        if integer("multipower order", self.mpv_order) < 2:
             raise ValueError(f"multipower order must be >= 2, got {self.mpv_order}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -107,7 +107,7 @@ def multipower_variation(path: SampledPath, order: int = 20) -> float:
     variance over the horizon without an extra mesh factor.
     """
     n = path.grid.n
-    if order < 2:
+    if integer("multipower order", order) < 2:
         raise ValueError(f"multipower order must be >= 2, got {order}")
     if n <= order:
         raise ValueError(f"need more than {order} increments, got {n}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .detect import MODES, DetectionConfig, detect_jumps, multipower_variation
 from .estimate import estimate_beta, estimate_lambda
-from .model import ContinuousSpec, ForwardCurve, GridSpec, JumpLaw, ModelSpec, SpikeParams, ci95
+from .model import ContinuousSpec, ForwardCurve, GridSpec, JumpLaw, ModelSpec, SpikeParams, ci95, integer
 from .model import TwoFactorParams
 from .pricing import PriceWithCI, price_from_payoffs, strip_payoffs
 
@@ -65,14 +65,18 @@ class StudyConfig:
     modes: Tuple[str, ...] = MODES
 
     def __post_init__(self):
+        if not self.modes:
+            raise ValueError("an estimation study needs at least one detection mode")
         for k, mode in enumerate(self.modes):
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
             if mode in self.modes[:k]:
                 raise ValueError(f"mode {mode!r} is repeated")
-        if self.replications < 2:
+        if integer("replications", self.replications) < 2:
             raise ValueError("need at least 2 replications")
         object.__setattr__(self, "pairs", tuple((float(a), float(b)) for a, b in self.pairs))
+        if not self.pairs:
+            raise ValueError("an estimation study needs at least one (intensity, reversion) pair")
         for lam, beta in self.pairs:
             if not (lam > 0 and beta > 0):
                 raise ValueError(f"invalid parameter pair ({lam}, {beta})")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -44,6 +45,7 @@ __all__ = [
     "ci95",
     "finite",
     "positive",
+    "integer",
     "sign",
     "LOG_MAX",
 ]
@@ -72,6 +74,14 @@ def positive(name: str, value: float) -> float:
     return value
 
 
+def integer(name: str, value) -> int:
+    """``value`` as an int when it is a Python or numpy integer; otherwise a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sign(x):
     """Sign convention used by the slope estimator: sign(x) = 1 if x >= 0 else -1."""
     return np.where(np.asarray(x) >= 0, 1.0, -1.0)[()]
@@ -85,7 +95,7 @@ class GridSpec:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.n < 2:
+        if integer("grid n", self.n) < 2:
             raise ValueError(f"grid needs n >= 2 increments, got n={self.n}")
         positive("horizon", self.horizon)
 
@@ -271,8 +281,6 @@ class SignedExponentialMixture(JumpLaw):
         return cdf / cdf[-1], np.asarray(self.rates), np.asarray(self.signs, dtype=float)
 
     def moment(self, m=1, kind="signed"):
-        if kind == "sign":
-            return float(sum(w * s for w, s in zip(self.weights, self.signs)))
         if m < 0:
             raise ValueError("moment order must be nonnegative")
         # E[(sE)^m] = s^m * m! / rate^m for an Exponential(rate) component.
@@ -316,8 +324,6 @@ class Empirical(JumpLaw):
         return rng.choice(self.samples, size)
 
     def moment(self, m=1, kind="signed"):
-        if kind == "sign":
-            return float(np.mean(sign(self.samples)))
         if kind == "signed":
             return float(np.mean(self.samples**m))
         if kind == "absolute":
@@ -406,23 +412,15 @@ class TwoFactorParams:
             )
 
     def log_variance(self, t):
-        """Variance v(t) of sigma_l W_t + sigma_s Y_t (Y the short OU factor).
-
-        It is the forward log-variance at maturity t, whose decay factor is exactly 1.
-        """
-        return self.forward_log_variance(t, t)
-
-    def forward_log_variance(self, t, maturity):
-        """Variance of log f(t, maturity) around log f(0, maturity)."""
+        """Variance v(t) of sigma_l W_t + sigma_s Y_t (Y the short OU factor), elementwise in t."""
         t = np.asarray(t, dtype=float)
-        a, span = self.alpha, float(np.max(maturity, initial=0.0))
+        a, span = self.alpha, float(np.max(t, initial=0.0))
         if math.isinf(2.0 * a * span) or math.isinf((self.sigma_l + self.sigma_s) ** 2 * span):
             raise ValueError(f"horizon {span!r} makes the two-factor log-variance overflow a float")
-        decay = np.exp(-a * (maturity - t))
         return (
             self.sigma_l**2 * t
-            + self.sigma_s**2 * decay**2 * -np.expm1(-2.0 * a * t) / (2.0 * a)
-            + 2.0 * self.rho * self.sigma_l * self.sigma_s * decay * -np.expm1(-a * t) / a
+            + self.sigma_s**2 * -np.expm1(-2.0 * a * t) / (2.0 * a)
+            + 2.0 * self.rho * self.sigma_l * self.sigma_s * -np.expm1(-a * t) / a
         )
 
 

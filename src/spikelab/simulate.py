@@ -32,10 +32,11 @@ grid in chunks of columns by ``spot_chunks``, which carries the factor state
 (W, Y) and the spike state Z from one chunk into the next, so a walk needs
 memory O(paths x chunk) at any grid length.  The chunks are built
 time-major, so the recursion runs across all paths of a step at once, and
-are handed out as (paths, columns) views.  ``simulate_two_factor``
-concatenates the same blocks, and ``simulate_spikes`` is the spike leg of a
-batch of one, so each leg has one engine.  No value depends on the
-chunk length: the factor normals are drawn per step (the long-factor normals
+are handed out as (paths, columns) views; only ``spot_chunks`` pairs paths
+antithetically.  ``simulate_two_factor`` concatenates the plain blocks
+without spikes, and ``simulate_spikes`` is the spike leg of a batch of one,
+so each leg has one engine.  No value depends on the chunk length: the
+factor normals are drawn per step (the long-factor normals
 of every path, then the short-factor ones) and every running sum and
 recursion continues across chunk boundaries.  While a walk builds one chunk,
 a helper thread that lives for that walk draws the next chunk's normals
@@ -467,17 +468,11 @@ def spot_chunks(
 
 
 def simulate_two_factor(
-    params: TwoFactorParams,
-    curve: ForwardCurve,
-    grid: GridSpec,
-    rng: np.random.Generator,
-    paths: int,
-    antithetic: bool = False,
+    params: TwoFactorParams, curve: ForwardCurve, grid: GridSpec, rng: np.random.Generator, paths: int
 ) -> np.ndarray:
     """Two-factor spots Xc_t = f(0,t) exp(-v(t)/2 + sl W_t + ss Y_t), shape (paths, n + 1).
 
-    The blocks of ``spot_chunks`` without spikes, concatenated; with
-    ``antithetic`` the last paths / 2 rows mirror the factors of the first.
+    The blocks of ``spot_chunks`` without spikes, concatenated.
     """
-    blocks = spot_chunks(params, curve, grid, rng, paths, antithetic)
+    blocks = spot_chunks(params, curve, grid, rng, paths)
     return np.concatenate([spot for _, spot, _ in blocks], axis=1)

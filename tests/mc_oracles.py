@@ -120,8 +120,13 @@ def two_factor_forward(params: TwoFactorParams, curve: ForwardCurve, t, maturity
     with v_f the forward log-variance; a martingale in t for each fixed T.
     """
     t = np.asarray(t, dtype=float)
-    decay = np.exp(-params.alpha * (maturity - t))
-    var = params.forward_log_variance(t, maturity)
+    a, sl, ss = params.alpha, params.sigma_l, params.sigma_s
+    decay = np.exp(-a * (maturity - t))
+    var = (
+        sl**2 * t
+        + ss**2 * decay**2 * -np.expm1(-2.0 * a * t) / (2.0 * a)
+        + 2.0 * params.rho * sl * ss * decay * -np.expm1(-a * t) / a
+    )
     return curve(maturity) * np.exp(
         -0.5 * var + params.sigma_l * np.asarray(w_long) + params.sigma_s * decay * np.asarray(y_short)
     )

@@ -1,6 +1,7 @@
 """Multipower variation, thresholds, the two detection modes and the regime rule."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ class TestMultipower:
         path = brownian_path(1.0, 10, seed=1)
         with pytest.raises(ValueError):
             multipower_variation(path, 20)
+
+    @pytest.mark.parametrize("order", [2.5, 20.0, np.float64(20.0), "20"])
+    def test_order_must_be_an_integer(self, order):
+        # checked before the order reaches range(), which fails on a float with a TypeError
+        message = f"^{re.escape(f'multipower order must be an integer, got {order!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            DetectionConfig(mpv_order=order)
+        with pytest.raises(ValueError, match=message):
+            multipower_variation(brownian_path(1.0, 100, seed=1), order)
+
+    def test_numpy_integer_orders_are_counts(self):
+        path = brownian_path(1.0, 100, seed=1)
+        assert multipower_variation(path, np.int64(4)) == multipower_variation(path, 4)
+        assert DetectionConfig(mpv_order=np.int32(4)).mpv_order == 4
+        with pytest.raises(ValueError, match="^multipower order must be >= 2, got 1$"):
+            multipower_variation(path, np.int64(1))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

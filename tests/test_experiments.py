@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import re
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -108,6 +109,27 @@ class TestEstimationStudy:
     def test_repeated_mode_rejected_by_the_config(self):
         with pytest.raises(ValueError, match="^mode 'plain' is repeated$"):
             replace(small_study(), modes=(PLAIN, SIGN_FILTERED, PLAIN))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # raised where the config is built: no pair fails inside the study, and no mode gives no rows
+            ("pairs", (), "an estimation study needs at least one (intensity, reversion) pair"),
+            ("modes", (), "an estimation study needs at least one detection mode"),
+            # a count the study passes to range()
+            ("replications", 2.5, "replications must be an integer, got 2.5"),
+            ("replications", np.float64(3.0), f"replications must be an integer, got {np.float64(3.0)!r}"),
+        ],
+        ids=["no-pairs", "no-modes", "float-replications", "numpy-float-replications"],
+    )
+    def test_bad_study_rejected_by_the_config(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(small_study(), **{field: value})
+
+    def test_numpy_integer_replications_are_counts(self):
+        assert replace(small_study(), replications=np.int64(2)).replications == 2
+        with pytest.raises(ValueError, match="^need at least 2 replications$"):
+            replace(small_study(), replications=np.int64(1))
 
     def test_traced_peak_of_a_study_stays_small(self):
         # n = 10^4: a block of 104 paths and one of 16, each in the one 8 MB

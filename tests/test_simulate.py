@@ -369,6 +369,12 @@ class TestSpot:
 MARKET_TF = TwoFactorParams(alpha=12.56, sigma_s=1.03, sigma_l=0.25, rho=-0.11)
 
 
+def walked_spots(curve, grid, rng, paths, antithetic):
+    """The market two-factor spots of one ``spot_chunks`` walk without spikes, shape (paths, n + 1)."""
+    blocks = spot_chunks(MARKET_TF, curve, grid, rng, paths, antithetic)
+    return np.concatenate([spot for _, spot, _ in blocks], axis=1)
+
+
 class TestObservedRows:
     """The study's observed rows are the observed paths of ``simulate_spot``, bit for bit."""
 
@@ -489,13 +495,13 @@ class TestTwoFactor:
     def test_antithetic_rows_mirror_the_factors(self):
         grid = GridSpec(30, 1.0)
         curve = ForwardCurve.flat(40.0)
-        spot = simulate_two_factor(MARKET_TF, curve, grid, make_rng(6), 8, antithetic=True)
+        spot = walked_spots(curve, grid, make_rng(6), 8, antithetic=True)
         drift = 2 * np.log(40.0) - MARKET_TF.log_variance(grid.times())
         # log S+ + log S- = 2 (log f - v/2): the Gaussian parts cancel
         assert np.allclose(np.log(spot[:4]) + np.log(spot[4:]), drift, rtol=0, atol=1e-12)
         assert not np.allclose(spot[:4], spot[4:])
         with pytest.raises(ValueError, match="even number of paths"):
-            simulate_two_factor(MARKET_TF, curve, grid, make_rng(6), 7, antithetic=True)
+            walked_spots(curve, grid, make_rng(6), 7, antithetic=True)
 
 
 class TestChunkLength:
@@ -507,7 +513,7 @@ class TestChunkLength:
         spots = []
         for length in self.LENGTHS:
             monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 6 * length)
-            spots.append(simulate_two_factor(MARKET_TF, ForwardCurve.flat(40.0), grid, make_rng(3), 6, antithetic))
+            spots.append(walked_spots(ForwardCurve.flat(40.0), grid, make_rng(3), 6, antithetic))
         assert all(other.tobytes() == spots[0].tobytes() for other in spots[1:])
 
     def test_spike_values(self, monkeypatch):
@@ -600,14 +606,14 @@ class TestDrawHelper:
         curve = ForwardCurve.flat(40.0)
         cases = [(seed, antithetic) for seed in range(4) for antithetic in (False, True)]
         monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 6 * (self.GRID.n + 1))
-        expected = {case: simulate_two_factor(MARKET_TF, curve, self.GRID, make_rng(case[0]), 6, case[1]) for case in cases}
+        expected = {case: walked_spots(curve, self.GRID, make_rng(case[0]), 6, case[1]) for case in cases}
         # 2 columns a chunk (4 with antithetic), so chunk 0 draws normals too
         monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 12)
         results = {}
 
         def walk(seed):
             for antithetic in (False, True):
-                results[seed, antithetic] = simulate_two_factor(MARKET_TF, curve, self.GRID, make_rng(seed), 6, antithetic)
+                results[seed, antithetic] = walked_spots(curve, self.GRID, make_rng(seed), 6, antithetic)
 
         threads = [threading.Thread(target=walk, args=(seed,)) for seed in range(4)]
         interval = sys.getswitchinterval()

@@ -28,6 +28,9 @@ from it.  Every public function or method defined in ``src`` is referenced by
 name outside its own definition and ``__all__``, in ``src``, in
 ``benchmarks`` or in ``tests/test_acceptance.py``, so no public API lives only
 for the other tests; ``UNREFERENCED`` names each exception and its reason.
+Every parameter with a default on such a function is passed, by position or
+keyword, by some call in those same places, so no option or branch lives only
+for the other tests; ``UNPASSED`` names each exception and its reason.
 The README's library sketch runs, so the docs cannot name a removed function.
 """
 
@@ -403,6 +406,80 @@ def test_unreferenced_functions_are_seen():
     )
     caller = ast.parse("getattr(obj, 'looked_up')\nlaw.called()\n_private()")
     assert unreferenced_functions({"stub": module}, [module, caller]) == {"stub.exported", "stub.recursive", "stub.Law.unused"}
+
+
+# defaulted parameters that no call in src, benchmarks or the acceptance suite passes, each with its reason
+UNPASSED: dict = {}
+
+
+def defaulted_parameters(func: ast.FunctionDef) -> dict:
+    """Each parameter of ``func`` with a default, by name: its position, or None when keyword-only."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = {arg.arg: k for k, arg in enumerate(positional) if k >= first}
+    found.update({arg.arg: None for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None})
+    return found
+
+
+def passes(call: ast.Call, name: str, position, bound: int) -> bool:
+    """Whether ``call`` passes parameter ``name`` at ``position``; ``bound`` positions are filled before the call's own."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True  # *args or **kwargs may fill any parameter
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    return position is not None and bound + len(call.args) > position
+
+
+def unpassed_parameters(modules: dict, referencing: list) -> set:
+    """``module.qualname: parameter`` for each defaulted parameter of a public function that no call passes.
+
+    A call is matched to a function by its name, called as a name or an
+    attribute; a method's call fills ``self`` (or ``cls``) before its own
+    arguments, unless the method is a ``staticmethod``.
+    """
+    calls = collections.defaultdict(list)
+    for tree in referencing:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls[getattr(node.func, "id", None) or getattr(node.func, "attr", None)].append(node)
+    found = set()
+    for qualname, func in public_functions(modules).items():
+        static = any(getattr(decorator, "id", None) == "staticmethod" for decorator in func.decorator_list)
+        bound = int(qualname.count(".") == 2 and not static)
+        for name, position in defaulted_parameters(func).items():
+            if not any(passes(call, name, position, bound) for call in calls[func.name]):
+                found.add(f"{qualname}: {name}")
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_parameters(MODULES, REFERENCING) == set(UNPASSED)
+
+
+def test_unpassed_parameters_are_seen():
+    module = ast.parse(
+        "def walk(grid, paths=1, antithetic=False, *, chunk=None, spikes=None): pass\n"
+        "def spread(a=0, b=0): pass\n"
+        "def _private(flag=False): pass\n"
+        "class Law:\n"
+        "    def moment(self, m=1, kind='signed'): pass\n"
+        "    @staticmethod\n"
+        "    def build(size=1.0, kind='mix'): pass\n"
+    )
+    caller = ast.parse(
+        "walk(grid, 4, spikes=s)\n"
+        "spread(*pair)\n"
+        "law.moment(2)\n"
+        "Law.build(2.0)\n"
+        "describe(law, kind='absolute', chunk=8)\n"
+    )
+    assert unpassed_parameters({"stub": module}, [module, caller]) == {
+        "stub.walk: antithetic",
+        "stub.walk: chunk",
+        "stub.Law.moment: kind",
+        "stub.Law.build: kind",
+    }
 
 
 def readme_sketch() -> str:
